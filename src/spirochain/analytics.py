@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import binom
 
 from .chain import LinkProbabilities, LinkType, grow, initial_chain
 from .errors import DegenerateVariance, InvalidN
@@ -34,6 +33,30 @@ from .indices import IndexKind, IndexSpec, evaluate_from_profile, registry_looku
 _DETERMINISTIC_RTOL = 1e-12
 
 COMPARISON_ORDER = ("randic", "nirmala", "sombor", "first-zagreb", "second-zagreb")
+
+# Stirling-formula error log(k!) - log(sqrt(2 pi k) (k/e)^k) for k = 0..15
+# (the k = 0 entry is never read), and the coefficients of its asymptotic
+# series 1/(12k) - 1/(360k^3) + ... used above that.
+_STIRLERR = np.array([
+    0.0,
+    0.0810614667953272582196702,
+    0.0413406959554092940938221,
+    0.02767792568499833914878929,
+    0.02079067210376509311152277,
+    0.01664469118982119216319487,
+    0.01387612882307074799874573,
+    0.01189670994589177009505572,
+    0.010411265261972096497478567,
+    0.009255462182712732917728637,
+    0.008330563433362871256469318,
+    0.007573675487951840794972024,
+    0.006942840107209529865664152,
+    0.006408994188004207068439631,
+    0.005951370112758847735624416,
+    0.005554733551962801371038690,
+])
+_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
+_LN_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -198,6 +221,59 @@ class DiscreteDistribution:
         return float(np.dot(self.pmf, centered * centered))
 
 
+def _stirlerr(k):
+    """Stirling-formula error at integer-valued floats k >= 1."""
+    big = np.maximum(k, 16.0)
+    kk = big * big
+    series = (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / big
+    return np.where(k <= 15, _STIRLERR[np.minimum(k, 15).astype(np.intp)], series)
+
+
+def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
+    """Deviance term x log(x / mean) + mean - x, by its series near the mean."""
+    with np.errstate(over="ignore"):  # x / mean when p is subnormal
+        out = x * np.log(x / mean) + mean - x
+    near = np.abs(x - mean) < 0.1 * (x + mean)
+    xs = x[near]
+    v = (xs - mean) / (xs + mean)
+    s = (xs - mean) * v
+    term = 2.0 * xs * v
+    v *= v
+    for odd in range(3, 2000, 2):
+        term *= v
+        nxt = s + term / odd
+        if np.array_equal(nxt, s):
+            break
+        s = nxt
+    out[near] = s
+    return out
+
+
+def _binomial_pmf(steps: int, p: float) -> np.ndarray:
+    """Binomial(steps, p) probabilities of k = 0..steps in Loader's
+    saddle-point form."""
+    pmf = np.zeros(steps + 1)
+    if p == 0.0 or p == 1.0:
+        pmf[0 if p == 0.0 else steps] = 1.0
+        return pmf
+    pmf[0] = math.exp(steps * math.log1p(-p))
+    pmf[steps] = math.exp(steps * math.log(p))
+    if steps > 1:
+        k = np.arange(1.0, steps)
+        rest = steps - k
+        log_c = (
+            _stirlerr(float(steps))
+            - _stirlerr(k)
+            - _stirlerr(rest)
+            - _bd0(k, steps * p)
+            - _bd0(rest, steps * (1.0 - p))
+        )
+        # k * rest is exact below 2**53, unlike 1 - k/steps near k = steps
+        log_f = _LN_2PI + np.log(k * rest / steps)
+        pmf[1:steps] = np.exp(log_c - 0.5 * log_f)
+    return pmf
+
+
 def exact_distribution(
     spec: IndexSpec, n: int, probs: LinkProbabilities
 ) -> DiscreteDistribution:
@@ -205,7 +281,11 @@ def exact_distribution(
 
     The value is base + B * k with k the binomially distributed ortho count,
     so the support has n-1 points (one atom when the index is deterministic
-    or n = 2).
+    or n = 2).  When |B| is below the float spacing of the values, points
+    that round to the same double are merged, their probabilities summed,
+    and ortho_counts is None.  The binomial probabilities use Loader's
+    saddle-point method (C. Loader, "Fast and Accurate Computation of
+    Binomial Probabilities", 2000).
     """
     n = _require_n(n)
     c = coefficients(spec, probs)
@@ -215,9 +295,12 @@ def exact_distribution(
         return DiscreteDistribution(np.array([atom]), np.array([1.0]), None)
     k = np.arange(steps + 1)
     values = (c.ti2 + c.alpha_meta * steps) + c.B * k
-    pmf = binom.pmf(k, steps, float(probs.p_ortho))
+    pmf = _binomial_pmf(steps, float(probs.p_ortho))
     if c.B < 0:
         values, pmf, k = values[::-1], pmf[::-1], k[::-1]
+    if np.any(values[1:] == values[:-1]):
+        values, slot = np.unique(values, return_inverse=True)
+        return DiscreteDistribution(values, np.bincount(slot, weights=pmf), None)
     return DiscreteDistribution(values, pmf, k)
 
 

@@ -168,11 +168,18 @@ def _resolve_spec(args: argparse.Namespace):
         raise UsageError(f"--a is required for --index {args.index}") from None
 
 
+def _write(path: Path, text: str, flag: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
         print(text, end="" if text.endswith("\n") else "\n")
     else:
-        out.write_text(text if text.endswith("\n") else text + "\n")
+        _write(out, text if text.endswith("\n") else text + "\n", "--out")
 
 
 def _emit_json(payload: dict, args: argparse.Namespace, indent: int | None = 2) -> None:
@@ -362,7 +369,8 @@ def cmd_simulate(args: argparse.Namespace) -> None:
         }
     )
     if args.samples_out is not None:
-        args.samples_out.write_text("".join(f"{v!r}\n" for v in samples.tolist()))
+        _write(args.samples_out, "".join(f"{v!r}\n" for v in samples.tolist()),
+               "--samples-out")
     if args.histogram_out is not None:
         hist = montecarlo.histogram(samples, args.bins)
         density = hist.densities()
@@ -371,9 +379,9 @@ def cmd_simulate(args: argparse.Namespace) -> None:
              float(density[i])]
             for i in range(hist.counts.size)
         ]
-        args.histogram_out.write_text(
-            _csv_text(["bin_left", "bin_right", "count", "density"], rows)
-        )
+        _write(args.histogram_out,
+               _csv_text(["bin_left", "bin_right", "count", "density"], rows),
+               "--histogram-out")
     _emit_json(payload, args)
 
 

@@ -51,7 +51,12 @@ def _power_term(spec: IndexSpec, *degrees: int) -> float:
             f"{spec.name}: base function must be strictly positive, "
             f"got {raw!r} at degrees {degrees}"
         )
-    return raw ** spec.exponent
+    try:
+        return raw ** spec.exponent
+    except OverflowError as exc:
+        raise UndefinedBase(
+            f"{spec.name}: {raw!r} ** {spec.exponent!r} overflows at degrees {degrees}"
+        ) from exc
 
 
 def evaluate(spec: IndexSpec, g: MolecularGraph) -> float:

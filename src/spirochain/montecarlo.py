@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from . import analytics
 from .chain import (
@@ -27,6 +26,8 @@ from .errors import EmptySample, InvalidN, SampleTooSmall
 from .indices import IndexSpec
 
 _TRAJECTORY_BLOCK = 8192
+
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -181,8 +182,8 @@ def normality_check(
 ) -> NormalityReport:
     """Kolmogorov-Smirnov statistic against N(0, 1), plus moment gates.
 
-    The reference CDF is evaluated through the error function.  Requires at
-    least 100 samples.
+    The reference CDF is evaluated through math.erf.  Requires at least 100
+    samples.
     """
     x = np.asarray(samples, dtype=float)
     if x.size < 100:
@@ -190,7 +191,7 @@ def normality_check(
     gates = thresholds if thresholds is not None else DEFAULT_THRESHOLDS
     stats = summarize(x)
     ordered = np.sort(x)
-    cdf = 0.5 * (1.0 + erf(ordered / math.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + _erf(ordered / math.sqrt(2.0)).astype(float))
     ranks = np.arange(1, x.size + 1, dtype=float)
     d_plus = float(np.max(ranks / x.size - cdf))
     d_minus = float(np.max(cdf - (ranks - 1) / x.size))

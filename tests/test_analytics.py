@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -161,6 +162,42 @@ def test_exact_distribution_moments_match_closed_forms():
             dist = exact_distribution(spec, n, probs)
             assert rel_close(dist.mean(), expected_value(spec, n, probs), 1e-10)
             assert rel_close(dist.variance(), variance(spec, n, probs), 1e-10)
+
+
+ORACLE_P_ORTHO = (0.0, 1e-9, 1e-3, 0.3, 1 / 3, 0.5, 0.9, 0.999, 1.0)
+
+
+def assert_pmf_matches_scipy(steps, p_ortho):
+    dist = exact_distribution(ZAGREB2, steps + 2, LinkProbabilities.from_ortho(p_ortho))
+    reference = scipy.stats.binom.pmf(dist.ortho_counts, steps, p_ortho)
+    assert abs(float(dist.pmf.sum()) - 1.0) <= 1e-12
+    kept = reference >= 1e-300
+    relative = np.abs(dist.pmf[kept] - reference[kept]) / reference[kept]
+    assert float(relative.max()) <= 1e-10
+    assert np.all(dist.pmf[~kept] < 1.1e-300)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 10, 48, 998, 9998])
+@pytest.mark.parametrize("p_ortho", ORACLE_P_ORTHO)
+def test_exact_distribution_pmf_matches_scipy(steps, p_ortho):
+    assert_pmf_matches_scipy(steps, p_ortho)
+
+
+def test_exact_distribution_pmf_matches_scipy_at_a_million_steps():
+    # the largest drift from scipy on the oracle grid occurs here
+    assert_pmf_matches_scipy(999998, 0.3)
+
+
+def test_exact_distribution_merges_coincident_support_points():
+    # |B| ~ 1.2e-11 lies below the float spacing of values near 1.2e5
+    spec = registry_lookup("variable-sum-connectivity", 1e-10)
+    n = 20000
+    dist = exact_distribution(spec, n, UNIFORM)
+    assert dist.ortho_counts is None
+    assert 1 < dist.support.size < n - 1
+    assert np.all(np.diff(dist.support) > 0)
+    assert abs(float(dist.pmf.sum()) - 1.0) <= 1e-12
+    assert rel_close(dist.mean(), expected_value(spec, n, UNIFORM), 1e-12)
 
 
 def test_distribution_validation():

@@ -250,3 +250,34 @@ def test_csv_format_rejected_where_unsupported(capsys):
     code, _, err = run(capsys, "simulate", "--index", "nirmala", "--n", "4",
                        "--reps", "5", "--format", "csv")
     assert code == 2
+
+
+def test_distribution_with_coincident_support_points(capsys):
+    code, out, _ = run(
+        capsys, "distribution", "--index", "variable-sum-connectivity",
+        "--a", "1e-10", "--n", "20000",
+    )
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert 1 < len(rows) < 19999
+    assert all(row[0] == "" for row in rows)
+    assert math.isclose(sum(float(row[2]) for row in rows), 1.0, abs_tol=1e-12)
+
+
+def test_index_exponent_overflow_exits_2(capsys):
+    code, _, err = run(
+        capsys, "analyze", "--index", "variable-first-zagreb", "--a", "2000",
+        "--n", "10",
+    )
+    assert code == 2 and "overflows" in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--samples-out", "--histogram-out"])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, flag):
+    target = tmp_path / "missing" / "file.csv"
+    code, _, err = run(
+        capsys, "simulate", "--index", "nirmala", "--n", "100", "--reps", "200",
+        flag, str(target),
+    )
+    assert code == 2 and flag in err
+    assert not target.parent.exists()

@@ -134,6 +134,12 @@ def test_undefined_base_is_rejected():
         evaluate(failing, SEED_GRAPH)
 
 
+def test_exponent_overflow_is_undefined_base():
+    huge = registry_lookup("variable-first-zagreb", 2000.0)
+    with pytest.raises(UndefinedBase, match="overflows"):
+        evaluate(huge, SEED_GRAPH)
+
+
 def test_kind_mismatch():
     with pytest.raises(KindMismatch):
         evaluate_from_profile(registry_lookup("first-zagreb"), EdgeProfile(8, 4, 0))

@@ -145,6 +145,14 @@ def test_normality_check_on_true_normal_sample():
     assert math.isclose(report.ks_statistic, reference, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("shift", [0.0, 0.05, -1.5])
+def test_ks_statistic_matches_scipy(shift):
+    draws = np.random.default_rng(11).standard_normal(3000) + shift
+    draws[:50] = draws[50:100]  # ties
+    reference = scipy.stats.kstest(draws, "norm").statistic
+    assert abs(normality_check(draws).ks_statistic - reference) <= 1e-12
+
+
 def test_normality_check_rejects_degenerate_samples():
     report = normality_check(np.zeros(500))
     assert report.ks_statistic >= 0.5
