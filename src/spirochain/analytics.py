@@ -9,9 +9,10 @@ the value onto a single binomial count.  That reduction drives everything
 here: moments, the exact distribution, the moment generating function, the
 centered (martingale) transform, and the cross-index comparison.
 
-The increments are computed from the fixed growth profiles of actual small
-chains, not from transcribed per-index formulas; hand-derived constants
-live in the test suite as assertions.
+The increments are computed by evaluating the index on actual small chains,
+not from transcribed per-index formulas; hand-derived constants live in the
+test suite as assertions.  Only p_ortho enters any law: the meta and para
+links add the same increment, so their split never matters.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .chain import LinkProbabilities, LinkType, grow, initial_chain
-from .errors import DegenerateVariance, InvalidN
-from .graph import EdgeProfile, VertexProfile, edge_profile, vertex_profile
-from .indices import IndexKind, IndexSpec, evaluate_from_profile, registry_lookup
+from .chain import LinkProbabilities, LinkType, grow, initial_chain, require_n
+from .errors import DegenerateVariance
+from .graph import MolecularGraph
+from .indices import IndexSpec, evaluate, registry_lookup
 
 # Relative gap between the ortho and meta increments below which an index
 # is treated as deterministic on chains.
@@ -59,27 +60,15 @@ _S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
 _LN_2PI = math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class _GrowthProfiles:
-    edge_seed: EdgeProfile
-    vertex_seed: VertexProfile
-    edge_ortho: EdgeProfile
-    edge_meta: EdgeProfile  # para attachment yields the identical profile
-    vertex_step: VertexProfile
-
-
 @functools.cache
-def _growth_profiles() -> _GrowthProfiles:
-    """Profiles of the 2-hexagon seed and of each 3-hexagon chain."""
+def _growth_graphs() -> tuple[MolecularGraph, MolecularGraph, MolecularGraph]:
+    """The 2-hexagon seed and the 3-hexagon chains grown from it by an ortho
+    and by a meta link (para attachment yields the same degree profile)."""
     seed = initial_chain(2)
-    ortho = grow(seed, LinkType.ORTHO)
-    meta = grow(seed, LinkType.META)
-    return _GrowthProfiles(
-        edge_seed=edge_profile(seed.graph),
-        vertex_seed=vertex_profile(seed.graph),
-        edge_ortho=edge_profile(ortho.graph),
-        edge_meta=edge_profile(meta.graph),
-        vertex_step=vertex_profile(meta.graph),
+    return (
+        seed.graph,
+        grow(seed, LinkType.ORTHO).graph,
+        grow(seed, LinkType.META).graph,
     )
 
 
@@ -111,20 +100,13 @@ class ChainCoefficients:
 def coefficients(spec: IndexSpec, probs: LinkProbabilities) -> ChainCoefficients:
     """Per-link increments and derived constants of `spec` on chains.
 
-    alpha_bar and beta use the reduction p_meta + p_para = 1 - p_ortho, so
-    they depend on the probabilities only through p_ortho; with B = 0 the
-    reduction keeps deterministic indices exactly deterministic in floating
-    point.
+    Meta and para links add the same increment, so alpha_bar and beta
+    depend on the probabilities only through p_ortho; with B = 0 this keeps
+    deterministic indices exactly deterministic in floating point.
     """
-    prof = _growth_profiles()
-    if spec.kind is IndexKind.VERTEX:
-        ti2 = evaluate_from_profile(spec, prof.vertex_seed)
-        alpha = evaluate_from_profile(spec, prof.vertex_step) - ti2
-        alpha_ortho = alpha_meta = alpha_para = alpha
-    else:
-        ti2 = evaluate_from_profile(spec, prof.edge_seed)
-        alpha_ortho = evaluate_from_profile(spec, prof.edge_ortho) - ti2
-        alpha_meta = alpha_para = evaluate_from_profile(spec, prof.edge_meta) - ti2
+    ti2, ortho, meta = (evaluate(spec, g) for g in _growth_graphs())
+    alpha_ortho = ortho - ti2
+    alpha_meta = meta - ti2
     b = alpha_ortho - alpha_meta
     p = float(probs.p_ortho)
     alpha_bar = alpha_meta + b * p
@@ -136,7 +118,7 @@ def coefficients(spec: IndexSpec, probs: LinkProbabilities) -> ChainCoefficients
         ti2=ti2,
         alpha_ortho=alpha_ortho,
         alpha_meta=alpha_meta,
-        alpha_para=alpha_para,
+        alpha_para=alpha_meta,
         alpha_bar=alpha_bar,
         beta=beta,
         A=ti2 - 2.0 * alpha_meta,
@@ -146,35 +128,25 @@ def coefficients(spec: IndexSpec, probs: LinkProbabilities) -> ChainCoefficients
     )
 
 
-def _require_n(n, minimum: int = 2) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < minimum:
-        raise InvalidN(f"n must be an integer >= {minimum}, got {n!r}")
-    return int(n)
-
-
-def _variance_rate(coeffs: ChainCoefficients, probs: LinkProbabilities) -> float:
-    # Spread form of beta - alpha_bar**2; non-negative by construction.
-    p = float(probs.p_ortho)
-    return coeffs.B * coeffs.B * p * (1.0 - p)
-
-
 def expected_value(spec: IndexSpec, n: int, probs: LinkProbabilities) -> float:
     """Mean index value over random chains with n hexagons."""
-    n = _require_n(n)
+    n = require_n(n)
     c = coefficients(spec, probs)
     return c.ti2 + c.alpha_bar * (n - 2)
 
 
 def variance(spec: IndexSpec, n: int, probs: LinkProbabilities) -> float:
     """Variance of the index value over random chains with n hexagons."""
-    n = _require_n(n)
+    n = require_n(n)
     c = coefficients(spec, probs)
-    return _variance_rate(c, probs) * (n - 2)
+    p = float(probs.p_ortho)
+    # Spread form of beta - alpha_bar**2; non-negative by construction.
+    return c.B * c.B * p * (1.0 - p) * (n - 2)
 
 
 def second_moment(spec: IndexSpec, n: int, probs: LinkProbabilities) -> float:
     """Mean of the squared index value over random chains with n hexagons."""
-    n = _require_n(n)
+    n = require_n(n)
     c = coefficients(spec, probs)
     return (
         c.ti2 * c.ti2
@@ -287,7 +259,7 @@ def exact_distribution(
     saddle-point method (C. Loader, "Fast and Accurate Computation of
     Binomial Probabilities", 2000).
     """
-    n = _require_n(n)
+    n = require_n(n)
     c = coefficients(spec, probs)
     steps = n - 2
     if c.deterministic or steps == 0:
@@ -307,17 +279,16 @@ def exact_distribution(
 def mgf(spec: IndexSpec, n: int, probs: LinkProbabilities, t: float) -> float:
     """Moment generating function of the index value at argument t.
 
-    Factorizes as exp(t * ti2) times the per-step factor raised to n-2.
+    Factorizes as exp(t * ti2) times the per-step factor
+    p_ortho * exp(t * alpha_ortho) + (1 - p_ortho) * exp(t * alpha_meta)
+    raised to n-2.
     Raises the built-in OverflowError when t and the increments push the
     result past the double range.
     """
-    n = _require_n(n)
+    n = require_n(n)
     c = coefficients(spec, probs)
-    step = (
-        math.exp(t * c.alpha_ortho) * float(probs.p_ortho)
-        + math.exp(t * c.alpha_meta) * float(probs.p_meta)
-        + math.exp(t * c.alpha_para) * float(probs.p_para)
-    )
+    p = float(probs.p_ortho)
+    step = p * math.exp(t * c.alpha_ortho) + (1.0 - p) * math.exp(t * c.alpha_meta)
     return math.exp(t * c.ti2) * step ** (n - 2)
 
 
@@ -327,14 +298,12 @@ def standardize(value, spec: IndexSpec, n: int, probs: LinkProbabilities):
     Accepts a scalar or an array of values.  Raises DegenerateVariance for
     deterministic indices, n = 2, or boundary probabilities.
     """
-    n = _require_n(n)
-    c = coefficients(spec, probs)
-    var = _variance_rate(c, probs) * (n - 2)
-    if c.deterministic or n == 2 or var <= 0:
+    var = variance(spec, n, probs)
+    if var <= 0 or coefficients(spec, probs).deterministic:
         raise DegenerateVariance(
             f"{spec.name} has zero variance at n={n}, p_ortho={probs.p_ortho}"
         )
-    return (value - (c.ti2 + c.alpha_bar * (n - 2))) / math.sqrt(var)
+    return (value - expected_value(spec, n, probs)) / math.sqrt(var)
 
 
 def martingale_transform(
@@ -374,7 +343,6 @@ class ExpectationOrdering:
 
 def compare_expectations(n: int, probs: LinkProbabilities) -> ExpectationOrdering:
     """Expected Randic, Nirmala, Sombor and Zagreb values, in that order."""
-    n = _require_n(n)
     values = tuple(
         expected_value(registry_lookup(name), n, probs) for name in COMPARISON_ORDER
     )

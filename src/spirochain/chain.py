@@ -224,6 +224,13 @@ def replay(links: Iterable[LinkType]) -> SpiroChain:
     )
 
 
+def require_n(n, minimum: int = 2) -> int:
+    """Validate a hexagon count: an integer (not a bool) >= minimum."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < minimum:
+        raise InvalidN(f"n must be an integer >= {minimum}, got {n!r}")
+    return int(n)
+
+
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Philox stream keyed directly by the seed (reduced to 64 bits)."""
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
@@ -261,12 +268,10 @@ def generate(n: int, probs: LinkProbabilities, seed: int) -> SpiroChain:
     Identical (n, probs, seed) always yield the identical link sequence and
     graph, bit for bit.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-        raise InvalidN(f"generation needs an integer n >= 2, got {n!r}")
+    steps = require_n(n) - 2
     if not isinstance(probs, LinkProbabilities):
         probs = LinkProbabilities(*probs)
-    rng = rng_from_seed(seed)
-    indexes = draw_link_indexes(rng, int(n) - 2, probs)
+    indexes = draw_link_indexes(rng_from_seed(seed), steps, probs)
     return replay(LINK_ORDER[i] for i in indexes)
 
 
@@ -287,15 +292,14 @@ def enumerate_all(
     sweeps and can be overridden per call or via the SPIRO_MAX_ENUM_N
     environment variable.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-        raise InvalidN(f"enumeration needs an integer n >= 2, got {n!r}")
+    n = require_n(n)
     cap = _enum_cap(max_n)
     if n > cap:
         raise NTooLarge(
             f"n={n} exceeds the enumeration cap {cap} (3**{n - 2} sequences)"
         )
     weights = {link: probs.for_link(link) for link in LINK_ORDER}
-    for combo in itertools.product(LINK_ORDER, repeat=int(n) - 2):
+    for combo in itertools.product(LINK_ORDER, repeat=n - 2):
         yield combo, reduce(operator.mul, (weights[link] for link in combo), 1)
 
 

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,6 +35,8 @@ EXIT_DEGENERATE = 3
 EXIT_INTERNAL = 4
 
 _PROB_SUM_TOL = 1e-9
+
+_NON_FINITE = "the result is not finite: the index values overflow the double range"
 
 
 class UsageError(Exception):
@@ -175,18 +178,42 @@ def _write(path: Path, text: str, flag: str) -> None:
         raise UsageError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _emit(text: str, out: Path | None) -> None:
+def _emit(text: str, out: Path | None, files=()) -> None:
+    """Write the (path, text, flag) `files`, then `text` to `out` or stdout.
+
+    All texts are rendered before the call, and a failed write removes the
+    files this call already wrote, so a usage error leaves no partial output.
+    """
+    text = text if text.endswith("\n") else text + "\n"
+    if out is not None:
+        files = (*files, (out, text, "--out"))
+    written = []
+    try:
+        for path, body, flag in files:
+            _write(path, body, flag)
+            written.append(path)
+    except UsageError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     if out is None:
-        print(text, end="" if text.endswith("\n") else "\n")
-    else:
-        _write(out, text if text.endswith("\n") else text + "\n", "--out")
+        print(text, end="")
+
+
+def _json_text(payload: dict, indent: int | None = 2) -> str:
+    try:
+        return json.dumps(payload, indent=indent, allow_nan=False)
+    except ValueError:
+        raise UsageError(_NON_FINITE) from None
 
 
 def _emit_json(payload: dict, args: argparse.Namespace, indent: int | None = 2) -> None:
-    _emit(json.dumps(payload, indent=indent), args.out)
+    _emit(_json_text(payload, indent), args.out)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    if any(isinstance(x, float) and not math.isfinite(x) for row in rows for x in row):
+        raise UsageError(_NON_FINITE)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -368,9 +395,13 @@ def cmd_simulate(args: argparse.Namespace) -> None:
             },
         }
     )
+    # Rendered first: the summary's min and max make it fail on any
+    # non-finite sample, so the samples text needs no check of its own.
+    text = _json_text(payload)
+    files = []
     if args.samples_out is not None:
-        _write(args.samples_out, "".join(f"{v!r}\n" for v in samples.tolist()),
-               "--samples-out")
+        files.append((args.samples_out, "".join(f"{v!r}\n" for v in samples.tolist()),
+                      "--samples-out"))
     if args.histogram_out is not None:
         hist = montecarlo.histogram(samples, args.bins)
         density = hist.densities()
@@ -379,10 +410,10 @@ def cmd_simulate(args: argparse.Namespace) -> None:
              float(density[i])]
             for i in range(hist.counts.size)
         ]
-        _write(args.histogram_out,
-               _csv_text(["bin_left", "bin_right", "count", "density"], rows),
-               "--histogram-out")
-    _emit_json(payload, args)
+        files.append((args.histogram_out,
+                      _csv_text(["bin_left", "bin_right", "count", "density"], rows),
+                      "--histogram-out"))
+    _emit(text, args.out, files)
 
 
 def cmd_compare(args: argparse.Namespace) -> None:

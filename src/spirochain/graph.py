@@ -98,7 +98,7 @@ class MolecularGraph:
         """JSON-ready form: {"vertices": V, "edges": [[u, v], ...]}."""
         return {
             "vertices": self.vertex_count,
-            "edges": [[int(u), int(v)] for u, v in self.edges],
+            "edges": self.edges.tolist(),
         }
 
 

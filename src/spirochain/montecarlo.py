@@ -2,10 +2,10 @@
 
 Each replication derives its own Philox stream from the master seed
 (seed XOR splitmix64(index)), so results do not depend on how replications
-are scheduled.  A chain's index value accumulates the three per-link
-increments instead of building the graph: growth only ever changes the
-value by one of three constants, which keeps a replication O(n) and lets
-the full 5,000 x n=10,000 study run in seconds.
+are scheduled.  An index value is ti2 + alpha_meta * (n-2) + B * k with k
+the ortho count, so a replication only counts its uniforms below p_ortho,
+which is the ortho bucket of generate()'s inverse-CDF draw; no link
+sequence or graph is built.
 """
 
 from __future__ import annotations
@@ -16,13 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .chain import (
-    LinkProbabilities,
-    draw_link_indexes,
-    replication_seed,
-    rng_from_seed,
-)
-from .errors import EmptySample, InvalidN, SampleTooSmall
+from .chain import LinkProbabilities, replication_seed, require_n, rng_from_seed
+from .errors import EmptySample, SampleTooSmall
 from .indices import IndexSpec
 
 _TRAJECTORY_BLOCK = 8192
@@ -86,24 +81,21 @@ def simulate(
 ) -> SimulationResult:
     """Simulate `reps` independent chains and their index values.
 
-    Deterministic for fixed (spec, n, probs, reps, seed): replication r
-    reproduces exactly the chain that generate() would grow from the
-    derived seed replication_seed(seed, r).
+    Deterministic for fixed (spec, n, probs, reps, seed): replication r has
+    the ortho count, and so the value, of the chain that generate() grows
+    from the derived seed replication_seed(seed, r).
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-        raise InvalidN(f"simulation needs an integer n >= 2, got {n!r}")
+    steps = require_n(n) - 2
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps!r}")
-    coeffs = analytics.coefficients(spec, probs)
-    alpha = np.array(coeffs.alphas)
-    values = np.empty(reps)
+    c = analytics.coefficients(spec, probs)
+    p = float(probs.p_ortho)
     ortho = np.empty(reps, dtype=np.int64)
-    steps = int(n) - 2
     for r in range(reps):
-        rng = rng_from_seed(replication_seed(seed, r))
-        indexes = draw_link_indexes(rng, steps, probs)
-        values[r] = coeffs.ti2 + alpha.take(indexes).sum()
-        ortho[r] = int(np.count_nonzero(indexes == 0))
+        u = rng_from_seed(replication_seed(seed, r)).random(steps)
+        ortho[r] = np.count_nonzero(u < p)
+    # ti2 + ... keeps the two-hexagon chain (steps = 0) exactly at ti2.
+    values = (c.ti2 + c.alpha_meta * steps) + c.B * ortho
     values.setflags(write=False)
     ortho.setflags(write=False)
     return SimulationResult(values, ortho, summarize(values))
@@ -218,30 +210,25 @@ def martingale_residual_check(
 ) -> float:
     """Largest per-step mean increment of the centered trajectory.
 
-    Averages value_j - value_{j-1} - alpha_bar over many independent
-    trajectories for each growth step j and returns the maximum absolute
-    average; it shrinks like 1/sqrt(trajectories) when the centering is
-    right.  Increments are centered element-wise, so indices whose three
-    per-link increments coincide return exactly 0.
+    The centered increment value_j - value_{j-1} - alpha_bar of growth step
+    j is B * (1[link j is ortho] - p_ortho), so its average over many
+    independent trajectories is B times the gap between step j's ortho
+    frequency and p_ortho.  Returns the maximum absolute average over the
+    steps; it shrinks like 1/sqrt(trajectories) when the centering is
+    right, and is exactly 0 for indices with B = 0.
 
     Trajectories are drawn in blocks of 8192; block b uses the stream
-    seeded by replication_seed(seed, b).
+    seeded by replication_seed(seed, b), one row of n-2 uniforms per
+    trajectory.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 3:
-        raise InvalidN(f"the residual check needs an integer n >= 3, got {n!r}")
+    steps = require_n(n, minimum=3) - 2
     if trajectories < 1:
         raise ValueError(f"trajectories must be >= 1, got {trajectories!r}")
-    coeffs = analytics.coefficients(spec, probs)
-    centered = np.array(coeffs.alphas) - coeffs.alpha_bar
-    steps = int(n) - 2
-    sums = np.zeros(steps)
-    done = 0
-    block = 0
-    while done < trajectories:
-        size = min(_TRAJECTORY_BLOCK, trajectories - done)
-        rng = rng_from_seed(replication_seed(seed, block))
-        indexes = draw_link_indexes(rng, size * steps, probs).reshape(size, steps)
-        sums += centered.take(indexes).sum(axis=0)
-        done += size
-        block += 1
-    return float(np.max(np.abs(sums / trajectories)))
+    c = analytics.coefficients(spec, probs)
+    p = float(probs.p_ortho)
+    tally = np.zeros(steps, dtype=np.int64)
+    for block, start in enumerate(range(0, trajectories, _TRAJECTORY_BLOCK)):
+        size = min(_TRAJECTORY_BLOCK, trajectories - start)
+        u = rng_from_seed(replication_seed(seed, block)).random(size * steps)
+        tally += np.count_nonzero(u.reshape(size, steps) < p, axis=0)
+    return float(np.max(np.abs(c.B * (tally / trajectories - p))))

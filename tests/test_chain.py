@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spirochain as sc
 from spirochain import (
     ChainTooShort,
     EdgeProfile,
@@ -119,6 +120,35 @@ def test_generate_validation():
         generate(1, UNIFORM, 0)
     with pytest.raises(InvalidProbabilities):
         generate(5, (0.5, 0.5, 0.5), 0)
+
+
+ZAGREB2 = sc.registry_lookup("second-zagreb")
+
+# Every public function that takes a hexagon count, with its minimum n.
+N_TAKERS = {
+    "generate": (lambda n: generate(n, UNIFORM, 0), 2),
+    "enumerate_all": (lambda n: list(enumerate_all(n, UNIFORM)), 2),
+    "expected_value": (lambda n: sc.expected_value(ZAGREB2, n, UNIFORM), 2),
+    "variance": (lambda n: sc.variance(ZAGREB2, n, UNIFORM), 2),
+    "second_moment": (lambda n: sc.second_moment(ZAGREB2, n, UNIFORM), 2),
+    "exact_distribution": (lambda n: sc.exact_distribution(ZAGREB2, n, UNIFORM), 2),
+    "mgf": (lambda n: sc.mgf(ZAGREB2, n, UNIFORM, 0.01), 2),
+    "standardize": (lambda n: sc.standardize(100.0, ZAGREB2, n, UNIFORM), 2),
+    "compare_expectations": (lambda n: sc.compare_expectations(n, UNIFORM), 2),
+    "simulate": (lambda n: sc.simulate(ZAGREB2, n, UNIFORM, 3, 0), 2),
+    "martingale_residual_check": (
+        lambda n: sc.martingale_residual_check(ZAGREB2, UNIFORM, n, 3, 0), 3
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(N_TAKERS))
+def test_every_n_taker_validates_n_alike(name):
+    call, minimum = N_TAKERS[name]
+    for bad in (1, 2.5, True, "3", np.int64(minimum - 1)):
+        with pytest.raises(InvalidN):
+            call(bad)
+    call(np.int64(5))
 
 
 def test_generate_trivial_cases():

@@ -272,6 +272,34 @@ def test_index_exponent_overflow_exits_2(capsys):
     assert code == 2 and "overflows" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--format", "json"],
+    ["analyze", "--format", "csv"],
+    ["distribution"],
+    ["simulate", "--reps", "5"],
+])
+def test_non_finite_output_exits_2_and_writes_nothing(capsys, tmp_path, argv):
+    # 4**511 is finite, but the sums over a chain overflow the double range.
+    target = tmp_path / "out.txt"
+    code, out, err = run(
+        capsys, *argv, "--index", "variable-first-zagreb", "--a", "511",
+        "--n", "10", "--out", str(target),
+    )
+    assert code == 2 and "not finite" in err
+    assert out == ""
+    assert not target.exists()
+
+
+def test_simulate_failed_write_leaves_no_partial_artifacts(capsys, tmp_path):
+    samples = tmp_path / "s.csv"
+    code, _, err = run(
+        capsys, "simulate", "--index", "nirmala", "--n", "100", "--reps", "50",
+        "--samples-out", str(samples), "--histogram-out", "/nonexistent/h.csv",
+    )
+    assert code == 2 and "--histogram-out" in err
+    assert not samples.exists()
+
+
 @pytest.mark.parametrize("flag", ["--out", "--samples-out", "--histogram-out"])
 def test_unwritable_output_path_exits_2(capsys, tmp_path, flag):
     target = tmp_path / "missing" / "file.csv"

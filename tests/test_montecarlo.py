@@ -75,11 +75,20 @@ def test_incremental_values_agree_with_graph_evaluation():
     """Each replication reproduces the chain grown from its derived seed."""
     rng = np.random.default_rng(424242)
     specs = (NIRMALA, ZAGREB2, registry_lookup("sombor"))
+    # The boundary probabilities pin the count-only draw to generate()'s
+    # inverse CDF where u < p_ortho is all or nothing.
+    probs_cycle = (
+        UNIFORM,
+        LinkProbabilities(0.3, 0.45, 0.25),
+        LinkProbabilities.from_ortho(0.0),
+        LinkProbabilities.from_ortho(1.0),
+    )
     for case in range(100):
         n = int(rng.integers(2, 501))
         seed = int(rng.integers(0, 2**63))
-        chain = generate(n, UNIFORM, replication_seed(seed, 0))
-        result = simulate(specs[case % 3], n, UNIFORM, 1, seed)
+        probs = probs_cycle[case % 4]
+        chain = generate(n, probs, replication_seed(seed, 0))
+        result = simulate(specs[case % 3], n, probs, 1, seed)
         direct = evaluate(specs[case % 3], chain.graph)
         assert abs(result.values[0] - direct) <= 1e-9 * abs(direct)
         assert result.ortho_counts[0] == chain.ortho_count
