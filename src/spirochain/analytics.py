@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import LinkProbabilities, LinkType, grow, initial_chain, require_n
-from .errors import DegenerateVariance
+from .errors import DegenerateVariance, UndefinedBase
 from .graph import MolecularGraph
 from .indices import IndexSpec, evaluate, registry_lookup
 
@@ -103,6 +103,7 @@ def coefficients(spec: IndexSpec, probs: LinkProbabilities) -> ChainCoefficients
     Meta and para links add the same increment, so alpha_bar and beta
     depend on the probabilities only through p_ortho; with B = 0 this keeps
     deterministic indices exactly deterministic in floating point.
+    Raises UndefinedBase when a constant overflows the double range.
     """
     ti2, ortho, meta = (evaluate(spec, g) for g in _growth_graphs())
     alpha_ortho = ortho - ti2
@@ -113,6 +114,11 @@ def coefficients(spec: IndexSpec, probs: LinkProbabilities) -> ChainCoefficients
     beta = alpha_meta * alpha_meta + (
         alpha_ortho * alpha_ortho - alpha_meta * alpha_meta
     ) * p
+    if not all(map(math.isfinite, (ti2, alpha_ortho, alpha_meta, beta))):
+        raise UndefinedBase(
+            f"{spec.name}: the chain constants are not finite: the index values "
+            "overflow the double range"
+        )
     scale = max(1.0, abs(alpha_ortho), abs(alpha_meta))
     return ChainCoefficients(
         ti2=ti2,

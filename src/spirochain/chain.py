@@ -8,6 +8,10 @@ previous shared vertex.  Ortho is the only choice that makes two degree-4
 vertices adjacent, which is what turns the chain's randomness into a single
 binomial count.
 
+Every ring is listed from its shared vertex, so each shared vertex has a
+closed form in the link offsets.  replay() builds all rings from it at once
+and is the only constructor of chains with two or more hexagons.
+
 Reproducibility contract: random growth uses a Philox (4x64, 10 rounds)
 counter-based generator keyed directly by the 64-bit seed, and link types
 are selected by inverse CDF over (p_ortho, p_meta, p_para) in that fixed
@@ -19,10 +23,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-import operator
+import math
 import os
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -70,19 +73,12 @@ class LinkProbabilities:
     _SUM_TOL = 1e-12
 
     def __post_init__(self) -> None:
-        for name, p in self._named():
+        for name, p in zip(("p_ortho", "p_meta", "p_para"), self.as_tuple()):
             if not (0 <= p <= 1):
                 raise InvalidProbabilities(f"{name}={p!r} is outside [0, 1]")
         total = self.p_ortho + self.p_meta + self.p_para
         if abs(float(total - 1)) > self._SUM_TOL:
             raise InvalidProbabilities(f"probabilities sum to {total!r}, expected 1")
-
-    def _named(self):
-        return (
-            ("p_ortho", self.p_ortho),
-            ("p_meta", self.p_meta),
-            ("p_para", self.p_para),
-        )
 
     @classmethod
     def uniform(cls) -> "LinkProbabilities":
@@ -95,11 +91,7 @@ class LinkProbabilities:
         return cls(p_ortho, rest, rest)
 
     def for_link(self, link: LinkType):
-        return {
-            LinkType.ORTHO: self.p_ortho,
-            LinkType.META: self.p_meta,
-            LinkType.PARA: self.p_para,
-        }[link]
+        return dict(zip(LINK_ORDER, self.as_tuple()))[link]
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p_ortho, self.p_meta, self.p_para)
@@ -133,43 +125,30 @@ class SpiroChain:
         return sum(1 for link in self.links if link is LinkType.ORTHO)
 
 
-def _ring_rows(ring: tuple[int, ...]) -> list[tuple[int, int]]:
-    rows = []
-    for i in range(6):
-        u, v = ring[i], ring[(i + 1) % 6]
-        rows.append((u, v) if u < v else (v, u))
-    return rows
+def _ring_rows(rings: np.ndarray) -> np.ndarray:
+    """Edge rows of an (m, 6) array of rings, six per ring in ring order.
 
-
-def _attach_ring(ring: tuple[int, ...], cut: int, link: LinkType, next_id: int):
-    """New hexagon ring sharing one vertex with the current terminal ring."""
-    shared = ring[(ring.index(cut) + _RING_OFFSET[link]) % 6]
-    new_ring = (shared, next_id, next_id + 1, next_id + 2, next_id + 3, next_id + 4)
-    return shared, new_ring
+    Each row joins a vertex to its successor as (low, high); the closing
+    edge from the last vertex back to the first comes last.
+    """
+    succ = np.roll(rings, -1, axis=1)
+    rows = np.stack([np.minimum(rings, succ), np.maximum(rings, succ)], axis=-1)
+    return rows.reshape(-1, 2)
 
 
 def initial_chain(n: int) -> SpiroChain:
     """The one- or two-hexagon chain every longer chain starts from."""
     if n not in (1, 2):
         raise InvalidN(f"initial chains have 1 or 2 hexagons, got n={n!r}")
-    first = tuple(range(6))
-    rows = _ring_rows(first)
-    if n == 1:
-        return SpiroChain(
-            graph=MolecularGraph(6, np.array(rows, dtype=_EDGE_DTYPE)),
-            n=1,
-            links=(),
-            terminal_cut_vertex=None,
-            terminal_hexagon=first,
-        )
-    second = (0, 6, 7, 8, 9, 10)
-    rows += _ring_rows(second)
+    if n == 2:
+        return replay(())
+    ring = np.arange(6, dtype=_EDGE_DTYPE)
     return SpiroChain(
-        graph=MolecularGraph(11, np.array(rows, dtype=_EDGE_DTYPE)),
-        n=2,
+        graph=MolecularGraph(6, _ring_rows(ring[None])),
+        n=1,
         links=(),
-        terminal_cut_vertex=0,
-        terminal_hexagon=second,
+        terminal_cut_vertex=None,
+        terminal_hexagon=tuple(ring.tolist()),
     )
 
 
@@ -177,50 +156,37 @@ def grow(chain: SpiroChain, link: LinkType) -> SpiroChain:
     """Attach one hexagon at the given link position; returns a new chain.
 
     The shared vertex keeps its id and its degree rises from 2 to 4; the
-    five new vertices take the next five ids.
+    five new vertices take the next five ids.  Only chain.links is read:
+    the result is replay(chain.links + (link,)).
     """
     if chain.n < 2:
         raise ChainTooShort(
             f"growth needs a chain with at least 2 hexagons, got n={chain.n}"
         )
-    next_id = chain.graph.vertex_count
-    shared, new_ring = _attach_ring(
-        chain.terminal_hexagon, chain.terminal_cut_vertex, link, next_id
-    )
-    rows = np.concatenate(
-        [chain.graph.edges, np.array(_ring_rows(new_ring), dtype=_EDGE_DTYPE)]
-    )
-    return SpiroChain(
-        graph=MolecularGraph(next_id + 5, rows),
-        n=chain.n + 1,
-        links=chain.links + (link,),
-        terminal_cut_vertex=shared,
-        terminal_hexagon=new_ring,
-    )
+    return replay(chain.links + (link,))
 
 
 def replay(links: Iterable[LinkType]) -> SpiroChain:
-    """Chain obtained by folding grow() over the two-hexagon seed.
+    """The chain with the given link sequence, all rings built at once.
 
-    Produces ids and edge order identical to repeated grow() calls, but
-    builds the graph in one pass, so reconstructing a long chain is O(n).
+    Hexagon j (1-based) is the ring (s_j, f_j, ..., f_j + 4) with first new
+    id f_j = 5j - 4.  Hexagons 1 and 2 start at s = 0; hexagon j >= 3 starts
+    at s_j = f_{j-1} + offset - 1, offset 1, 2, 3 for O, M, P.  Ids and edge
+    order equal those of attaching one hexagon at a time.
     """
     links = tuple(links)
-    rows = _ring_rows(tuple(range(6)))
-    ring = (0, 6, 7, 8, 9, 10)
-    cut = 0
-    rows += _ring_rows(ring)
-    next_id = 11
-    for link in links:
-        cut, ring = _attach_ring(ring, cut, link, next_id)
-        rows += _ring_rows(ring)
-        next_id += 5
+    n = len(links) + 2
+    offsets = np.fromiter(map(_RING_OFFSET.__getitem__, links), _EDGE_DTYPE, len(links))
+    first = 5 * np.arange(1, n + 1, dtype=_EDGE_DTYPE) - 4
+    rings = first[:, None] + np.arange(-1, 5, dtype=_EDGE_DTYPE)
+    rings[:2, 0] = 0
+    rings[2:, 0] = first[1:-1] + offsets - 1
     return SpiroChain(
-        graph=MolecularGraph(next_id, np.array(rows, dtype=_EDGE_DTYPE)),
-        n=len(links) + 2,
+        graph=MolecularGraph(5 * n + 1, _ring_rows(rings)),
+        n=n,
         links=links,
-        terminal_cut_vertex=cut,
-        terminal_hexagon=ring,
+        terminal_cut_vertex=int(rings[-1, 0]),
+        terminal_hexagon=tuple(rings[-1].tolist()),
     )
 
 
@@ -278,7 +244,11 @@ def generate(n: int, probs: LinkProbabilities, seed: int) -> SpiroChain:
 def _enum_cap(max_n: int | None) -> int:
     if max_n is not None:
         return int(max_n)
-    return int(os.environ.get(MAX_ENUM_ENV_VAR, DEFAULT_MAX_ENUM_N))
+    raw = os.environ.get(MAX_ENUM_ENV_VAR, DEFAULT_MAX_ENUM_N)
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidN(f"{MAX_ENUM_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def enumerate_all(
@@ -300,7 +270,7 @@ def enumerate_all(
         )
     weights = {link: probs.for_link(link) for link in LINK_ORDER}
     for combo in itertools.product(LINK_ORDER, repeat=n - 2):
-        yield combo, reduce(operator.mul, (weights[link] for link in combo), 1)
+        yield combo, math.prod(weights[link] for link in combo)
 
 
 def links_to_string(links: Iterable[LinkType]) -> str:

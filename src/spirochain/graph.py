@@ -41,8 +41,8 @@ class MolecularGraph:
                 raise ValueError("edge endpoint out of range")
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise ValueError("self-loops are not allowed")
-            keys = edges[:, 0] * self.vertex_count + edges[:, 1]
-            if np.unique(keys).size != keys.size:
+            keys = np.sort(edges[:, 0] * self.vertex_count + edges[:, 1])
+            if np.any(keys[1:] == keys[:-1]):
                 raise ValueError("duplicate edges are not allowed")
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)

@@ -61,6 +61,41 @@ def enum_oracle():
     return EnumOracle()
 
 
+_REFERENCE_OFFSET = {LinkType.ORTHO: 1, LinkType.META: 2, LinkType.PARA: 3}
+
+
+def reference_replay(links):
+    """Step-by-step chain construction over Python tuples.
+
+    Each new hexagon shares the vertex at ring distance 1, 2 or 3 (O, M, P)
+    from the terminal ring's cut vertex and takes the next five ids.
+    Returns (edge rows as a list of (low, high) pairs, terminal ring, cut
+    vertex), independent of the closed form that replay() uses.
+    """
+    def ring_rows(ring):
+        return [tuple(sorted((ring[i], ring[(i + 1) % 6]))) for i in range(6)]
+
+    ring, cut = (0, 6, 7, 8, 9, 10), 0
+    rows = ring_rows(tuple(range(6))) + ring_rows(ring)
+    next_id = 11
+    for link in links:
+        cut = ring[(ring.index(cut) + _REFERENCE_OFFSET[link]) % 6]
+        ring = (cut, *range(next_id, next_id + 5))
+        rows += ring_rows(ring)
+        next_id += 5
+    return rows, ring, cut
+
+
+def assert_matches_reference(chain):
+    rows, ring, cut = reference_replay(chain.links)
+    assert chain.graph.edges.tolist() == [list(row) for row in rows]
+    assert chain.graph.vertex_count == 5 * chain.n + 1
+    assert chain.terminal_hexagon == ring
+    assert chain.terminal_cut_vertex == cut
+    ids = (*chain.terminal_hexagon, chain.terminal_cut_vertex)
+    assert all(type(v) is int for v in ids)
+
+
 def rel_close(a, b, rtol, atol=1e-15):
     """|a - b| within rtol of the larger magnitude, with a tiny floor."""
     return abs(a - b) <= max(rtol * max(abs(a), abs(b)), atol)

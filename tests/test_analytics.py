@@ -15,6 +15,7 @@ from spirochain import (
     InvalidN,
     LinkProbabilities,
     LinkType,
+    UndefinedBase,
     coefficients,
     compare_expectations,
     evaluate,
@@ -22,10 +23,12 @@ from spirochain import (
     expected_value,
     grow,
     initial_chain,
+    martingale_residual_check,
     martingale_transform,
     mgf,
     registry_lookup,
     second_moment,
+    simulate,
     standardize,
     variance,
 )
@@ -236,6 +239,32 @@ def test_mgf_factorizes_over_growth_steps():
             for a, p in zip(c.alphas, HALF.as_tuple())
         )
         assert rel_close(mgf(SOMBOR, 9, HALF, t), mgf(SOMBOR, 8, HALF, t) * step, 1e-10)
+
+
+OVERFLOWING = registry_lookup("variable-first-zagreb", 511)
+
+# Everything that reads the chain constants, called on an index whose sums
+# overflow the double range although 4**511 itself is finite.
+CONSTANT_READERS = {
+    "coefficients": lambda: coefficients(OVERFLOWING, UNIFORM),
+    "expected_value": lambda: expected_value(OVERFLOWING, 10, UNIFORM),
+    "variance": lambda: variance(OVERFLOWING, 10, UNIFORM),
+    "second_moment": lambda: second_moment(OVERFLOWING, 10, UNIFORM),
+    "exact_distribution": lambda: exact_distribution(OVERFLOWING, 10, UNIFORM),
+    "mgf": lambda: mgf(OVERFLOWING, 10, UNIFORM, 0.0),
+    "standardize": lambda: standardize(1.0, OVERFLOWING, 10, UNIFORM),
+    "martingale_transform": lambda: martingale_transform([1.0], OVERFLOWING, UNIFORM),
+    "simulate": lambda: simulate(OVERFLOWING, 10, UNIFORM, 3, 0),
+    "martingale_residual_check": lambda: martingale_residual_check(
+        OVERFLOWING, UNIFORM, 10, 3, 0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTANT_READERS))
+def test_non_finite_constants_raise_undefined_base(name):
+    with pytest.raises(UndefinedBase, match="not finite"):
+        CONSTANT_READERS[name]()
 
 
 def test_mgf_overflow_is_signalled():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spirochain as sc
+from conftest import assert_matches_reference
 from spirochain import (
     ChainTooShort,
     EdgeProfile,
@@ -90,9 +91,15 @@ def test_replay_matches_folding_grow(links):
     replayed = replay(links)
     assert replayed.n == len(links) + 2
     assert replayed.links == tuple(links)
-    assert np.array_equal(replayed.graph.edges, folded.graph.edges)
-    assert replayed.terminal_hexagon == folded.terminal_hexagon
-    assert replayed.terminal_cut_vertex == folded.terminal_cut_vertex
+    assert_matches_reference(replayed)
+    assert_matches_reference(folded)
+    assert folded.links == replayed.links
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 2000])
+def test_generated_chains_match_reference(n):
+    chain = generate(n, LinkProbabilities(0.2, 0.5, 0.3), n)
+    assert_matches_reference(chain)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -224,6 +231,13 @@ def test_enumeration_cap_env_override(monkeypatch):
     with pytest.raises(NTooLarge):
         list(enumerate_all(4, UNIFORM))
     assert len(list(enumerate_all(3, UNIFORM))) == 3
+
+
+@pytest.mark.parametrize("raw", ["4.5", "abc"])
+def test_enumeration_cap_env_must_be_an_integer(monkeypatch, raw):
+    monkeypatch.setenv("SPIRO_MAX_ENUM_N", raw)
+    with pytest.raises(InvalidN, match="SPIRO_MAX_ENUM_N"):
+        list(enumerate_all(4, UNIFORM))
 
 
 def test_link_string_round_trip():

@@ -98,6 +98,10 @@ def test_graph_validation():
         MolecularGraph(3, np.array([[0, 1], [1, 0]]))  # duplicate edge
     with pytest.raises(ValueError):
         MolecularGraph(2, np.array([[0, 5]]))  # endpoint out of range
+    long = generate(100_000, LinkProbabilities.uniform(), 0).graph
+    reversed_dup = np.vstack([long.edges, long.edges[-1, ::-1]])
+    with pytest.raises(ValueError, match="duplicate"):
+        MolecularGraph(long.vertex_count, reversed_dup)
 
 
 def test_graph_is_immutable():
