@@ -24,7 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import LinkProbabilities, LinkType, grow, initial_chain, require_n
+from .chain import (
+    LinkProbabilities, LinkType, _coerce_probs, grow, initial_chain, require_n,
+)
 from .errors import DegenerateVariance, UndefinedBase
 from .graph import MolecularGraph
 from .indices import IndexSpec, evaluate, registry_lookup
@@ -78,7 +80,8 @@ class ChainCoefficients:
 
     On any chain, value = A + B * m44 + C * n, where m44 counts adjacent
     degree-4 pairs (equal to the number of ortho links).  For vertex-kind
-    indices B is 0: their value depends on n alone.
+    indices B is 0: their value depends on n alone.  p_ortho is the one
+    probability the laws read.
     """
 
     ti2: float
@@ -91,6 +94,7 @@ class ChainCoefficients:
     B: float
     C: float
     deterministic: bool
+    p_ortho: float
 
     @property
     def alphas(self) -> tuple[float, float, float]:
@@ -109,7 +113,7 @@ def coefficients(spec: IndexSpec, probs: LinkProbabilities) -> ChainCoefficients
     alpha_ortho = ortho - ti2
     alpha_meta = meta - ti2
     b = alpha_ortho - alpha_meta
-    p = float(probs.p_ortho)
+    p = float(_coerce_probs(probs).p_ortho)
     alpha_bar = alpha_meta + b * p
     beta = alpha_meta * alpha_meta + (
         alpha_ortho * alpha_ortho - alpha_meta * alpha_meta
@@ -131,6 +135,7 @@ def coefficients(spec: IndexSpec, probs: LinkProbabilities) -> ChainCoefficients
         B=b,
         C=alpha_meta,
         deterministic=abs(b) <= _DETERMINISTIC_RTOL * scale,
+        p_ortho=p,
     )
 
 
@@ -145,9 +150,8 @@ def variance(spec: IndexSpec, n: int, probs: LinkProbabilities) -> float:
     """Variance of the index value over random chains with n hexagons."""
     n = require_n(n)
     c = coefficients(spec, probs)
-    p = float(probs.p_ortho)
     # Spread form of beta - alpha_bar**2; non-negative by construction.
-    return c.B * c.B * p * (1.0 - p) * (n - 2)
+    return c.B * c.B * c.p_ortho * (1.0 - c.p_ortho) * (n - 2)
 
 
 def second_moment(spec: IndexSpec, n: int, probs: LinkProbabilities) -> float:
@@ -273,7 +277,7 @@ def exact_distribution(
         return DiscreteDistribution(np.array([atom]), np.array([1.0]), None)
     k = np.arange(steps + 1)
     values = (c.ti2 + c.alpha_meta * steps) + c.B * k
-    pmf = _binomial_pmf(steps, float(probs.p_ortho))
+    pmf = _binomial_pmf(steps, c.p_ortho)
     if c.B < 0:
         values, pmf, k = values[::-1], pmf[::-1], k[::-1]
     if np.any(values[1:] == values[:-1]):
@@ -293,7 +297,7 @@ def mgf(spec: IndexSpec, n: int, probs: LinkProbabilities, t: float) -> float:
     """
     n = require_n(n)
     c = coefficients(spec, probs)
-    p = float(probs.p_ortho)
+    p = c.p_ortho
     step = p * math.exp(t * c.alpha_ortho) + (1.0 - p) * math.exp(t * c.alpha_meta)
     return math.exp(t * c.ti2) * step ** (n - 2)
 
@@ -305,9 +309,10 @@ def standardize(value, spec: IndexSpec, n: int, probs: LinkProbabilities):
     deterministic indices, n = 2, or boundary probabilities.
     """
     var = variance(spec, n, probs)
-    if var <= 0 or coefficients(spec, probs).deterministic:
+    c = coefficients(spec, probs)
+    if var <= 0 or c.deterministic:
         raise DegenerateVariance(
-            f"{spec.name} has zero variance at n={n}, p_ortho={probs.p_ortho}"
+            f"{spec.name} has zero variance at n={n}, p_ortho={c.p_ortho}"
         )
     return (value - expected_value(spec, n, probs)) / math.sqrt(var)
 

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ChainTooShort, InvalidN, InvalidProbabilities, NTooLarge
-from .graph import MolecularGraph, _EDGE_DTYPE
+from .graph import MolecularGraph, _EDGE_DTYPE, hexagon
 
 GENERATOR_ALGORITHM = "philox4x64-10"
 SEED_MIX_ALGORITHM = "splitmix64"
@@ -142,13 +142,12 @@ def initial_chain(n: int) -> SpiroChain:
         raise InvalidN(f"initial chains have 1 or 2 hexagons, got n={n!r}")
     if n == 2:
         return replay(())
-    ring = np.arange(6, dtype=_EDGE_DTYPE)
     return SpiroChain(
-        graph=MolecularGraph(6, _ring_rows(ring[None])),
+        graph=hexagon(),
         n=1,
         links=(),
         terminal_cut_vertex=None,
-        terminal_hexagon=tuple(ring.tolist()),
+        terminal_hexagon=tuple(range(6)),
     )
 
 
@@ -190,11 +189,17 @@ def replay(links: Iterable[LinkType]) -> SpiroChain:
     )
 
 
-def require_n(n, minimum: int = 2) -> int:
-    """Validate a hexagon count: an integer (not a bool) >= minimum."""
+def require_n(n, minimum: int = 2, name: str = "n") -> int:
+    """Validate a count (hexagons, replications, bins, ...): an integer,
+    not a bool, >= minimum; `name` labels it in the InvalidN message."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < minimum:
-        raise InvalidN(f"n must be an integer >= {minimum}, got {n!r}")
+        raise InvalidN(f"{name} must be an integer >= {minimum}, got {n!r}")
     return int(n)
+
+
+def _coerce_probs(probs) -> LinkProbabilities:
+    """Accept a LinkProbabilities or any (p_ortho, p_meta, p_para) triple."""
+    return probs if isinstance(probs, LinkProbabilities) else LinkProbabilities(*probs)
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -235,15 +240,13 @@ def generate(n: int, probs: LinkProbabilities, seed: int) -> SpiroChain:
     graph, bit for bit.
     """
     steps = require_n(n) - 2
-    if not isinstance(probs, LinkProbabilities):
-        probs = LinkProbabilities(*probs)
-    indexes = draw_link_indexes(rng_from_seed(seed), steps, probs)
+    indexes = draw_link_indexes(rng_from_seed(seed), steps, _coerce_probs(probs))
     return replay(LINK_ORDER[i] for i in indexes)
 
 
 def _enum_cap(max_n: int | None) -> int:
     if max_n is not None:
-        return int(max_n)
+        return require_n(max_n, name="max_n")
     raw = os.environ.get(MAX_ENUM_ENV_VAR, DEFAULT_MAX_ENUM_N)
     try:
         return int(raw)
@@ -268,7 +271,7 @@ def enumerate_all(
         raise NTooLarge(
             f"n={n} exceeds the enumeration cap {cap} (3**{n - 2} sequences)"
         )
-    weights = {link: probs.for_link(link) for link in LINK_ORDER}
+    weights = dict(zip(LINK_ORDER, _coerce_probs(probs).as_tuple()))
     for combo in itertools.product(LINK_ORDER, repeat=n - 2):
         yield combo, math.prod(weights[link] for link in combo)
 

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import analytics, montecarlo
@@ -24,6 +25,7 @@ from .chain import (
     links_to_string,
     parse_links,
     replay,
+    require_n,
 )
 from .errors import DegenerateVariance, MissingExponent, SpiroChainError
 from .graph import edge_profile
@@ -37,6 +39,9 @@ EXIT_INTERNAL = 4
 _PROB_SUM_TOL = 1e-9
 
 _NON_FINITE = "the result is not finite: the index values overflow the double range"
+
+# SampleSummary fields that the simulate payload names differently.
+_SUMMARY_KEYS = {"minimum": "min", "maximum": "max"}
 
 
 class UsageError(Exception):
@@ -138,28 +143,17 @@ def _resolve_probs(args: argparse.Namespace) -> LinkProbabilities:
     if not any(given):
         return LinkProbabilities.uniform()
     if given == [True, False, False]:
-        if not 0 <= args.p_ortho <= 1:
-            raise UsageError(f"--p-ortho must be in [0, 1], got {args.p_ortho}")
         return LinkProbabilities.from_ortho(args.p_ortho)
     if not all(given):
         raise UsageError(
             "give --p-ortho alone, all of --p-ortho/--p-meta/--p-para, or none"
         )
-    for flag, p in zip(("--p-ortho", "--p-meta", "--p-para"), trio):
-        if not 0 <= p <= 1:
-            raise UsageError(f"{flag} must be in [0, 1], got {p}")
     total = sum(trio)
     if abs(total - 1) > _PROB_SUM_TOL:
         raise UsageError(
             f"--p-ortho/--p-meta/--p-para must sum to 1, got {total!r}"
         )
     return LinkProbabilities(*(p / total for p in trio))
-
-
-def _resolve_n(args: argparse.Namespace) -> int:
-    if args.n is None or args.n < 2:
-        raise UsageError(f"--n must be an integer >= 2, got {args.n}")
-    return args.n
 
 
 def _resolve_spec(args: argparse.Namespace):
@@ -244,7 +238,7 @@ def _prob_fields(probs: LinkProbabilities) -> dict:
 
 
 def cmd_generate(args: argparse.Namespace) -> None:
-    n = _resolve_n(args)
+    n = require_n(args.n, name="--n")
     probs = _resolve_probs(args)
     if args.format != "json":
         raise UsageError("--format csv is not supported for generate")
@@ -276,7 +270,7 @@ def cmd_compute(args: argparse.Namespace) -> None:
         except ValueError as exc:
             raise UsageError(f"--links: {exc}") from None
     else:
-        chain = generate(_resolve_n(args), _resolve_probs(args), args.seed)
+        chain = generate(require_n(args.n, name="--n"), _resolve_probs(args), args.seed)
     payload = {
         "index": spec.name,
         "n": chain.n,
@@ -288,7 +282,7 @@ def cmd_compute(args: argparse.Namespace) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> None:
     spec = _resolve_spec(args)
-    n = _resolve_n(args)
+    n = require_n(args.n, name="--n")
     probs = _resolve_probs(args)
     c = analytics.coefficients(spec, probs)
     payload = {"index": spec.name}
@@ -315,7 +309,7 @@ def cmd_analyze(args: argparse.Namespace) -> None:
 
 def cmd_distribution(args: argparse.Namespace) -> None:
     spec = _resolve_spec(args)
-    n = _resolve_n(args)
+    n = require_n(args.n, name="--n")
     probs = _resolve_probs(args)
     dist = analytics.exact_distribution(spec, n, probs)
     counts = dist.ortho_counts
@@ -339,25 +333,22 @@ def cmd_distribution(args: argparse.Namespace) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> None:
     spec = _resolve_spec(args)
-    n = _resolve_n(args)
+    n = require_n(args.n, name="--n")
     probs = _resolve_probs(args)
     if args.format != "json":
         raise UsageError("--format csv is not supported for simulate")
-    if args.reps < 1:
-        raise UsageError(f"--reps must be >= 1, got {args.reps}")
-    if args.bins < 1:
-        raise UsageError(f"--bins must be >= 1, got {args.bins}")
-    sim = montecarlo.simulate(spec, n, probs, args.reps, args.seed)
+    require_n(args.bins, minimum=1, name="--bins")
+    normality = None
     if args.standardize:
-        samples = analytics.standardize(sim.values, spec, n, probs)
+        samples = montecarlo.standardized_sample(spec, n, probs, args.reps, args.seed)
         summary = montecarlo.summarize(samples)
-        normality = (
-            montecarlo.normality_check(samples) if args.reps >= 100 else None
-        )
+        if args.reps >= 100:
+            report = montecarlo.normality_check(samples)
+            normality = {**asdict(report), "passed": report.passed}
     else:
+        sim = montecarlo.simulate(spec, n, probs, args.reps, args.seed)
         samples = sim.values
         summary = sim.summary
-        normality = None
 
     payload = {"index": spec.name}
     if args.a is not None:
@@ -371,28 +362,10 @@ def cmd_simulate(args: argparse.Namespace) -> None:
             "rng": f"{GENERATOR_ALGORITHM}+{SEED_MIX_ALGORITHM}",
             "standardized": bool(args.standardize),
             "summary": {
-                "count": summary.count,
-                "mean": summary.mean,
-                "variance": summary.variance,
-                "skewness": summary.skewness,
-                "excess_kurtosis": summary.excess_kurtosis,
-                "min": summary.minimum,
-                "max": summary.maximum,
+                _SUMMARY_KEYS.get(key, key): value
+                for key, value in asdict(summary).items()
             },
-            "normality": None
-            if normality is None
-            else {
-                "ks_statistic": normality.ks_statistic,
-                "mean": normality.mean,
-                "variance": normality.variance,
-                "skewness": normality.skewness,
-                "excess_kurtosis": normality.excess_kurtosis,
-                "ks_ok": normality.ks_ok,
-                "mean_ok": normality.mean_ok,
-                "variance_ok": normality.variance_ok,
-                "skewness_ok": normality.skewness_ok,
-                "passed": normality.passed,
-            },
+            "normality": normality,
         }
     )
     # Rendered first: the summary's min and max make it fail on any
@@ -417,7 +390,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def cmd_compare(args: argparse.Namespace) -> None:
-    n = _resolve_n(args)
+    n = require_n(args.n, name="--n")
     probs = _resolve_probs(args)
     report = analytics.compare_expectations(n, probs)
     if args.format == "csv":

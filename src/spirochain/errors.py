@@ -13,8 +13,8 @@ class ChainTooShort(SpiroChainError):
     """Growth was attempted on a chain with fewer than two hexagons."""
 
 
-class InvalidN(SpiroChainError):
-    """A hexagon count outside the operation's admissible range."""
+class InvalidN(SpiroChainError, ValueError):
+    """A count (hexagons, replications, bins, ...) outside its admissible range."""
 
 
 class InvalidProbabilities(SpiroChainError):

@@ -59,6 +59,22 @@ def _power_term(spec: IndexSpec, *degrees: int) -> float:
         ) from exc
 
 
+def _weighted_sum(spec: IndexSpec, counts: dict[tuple[int, ...], int]) -> float:
+    """scale * sum of count * term over the degree keys, in sorted key order.
+
+    Raises UndefinedBase when the sum overflows the double range.
+    """
+    total = spec.scale * sum(
+        count * _power_term(spec, *degrees) for degrees, count in sorted(counts.items())
+    )
+    if not math.isfinite(total):
+        raise UndefinedBase(
+            f"{spec.name}: the index value is not finite: the sum overflows the "
+            "double range"
+        )
+    return total
+
+
 def evaluate(spec: IndexSpec, g: MolecularGraph) -> float:
     """Sum the index over the graph's vertices or edges, per the spec kind.
 
@@ -69,16 +85,8 @@ def evaluate(spec: IndexSpec, g: MolecularGraph) -> float:
     if g.vertex_count == 0:
         raise ValueError("cannot evaluate an index on an empty graph")
     if spec.kind is IndexKind.VERTEX:
-        total = sum(
-            count * _power_term(spec, d)
-            for d, count in sorted(g.degree_counts.items())
-        )
-    else:
-        total = sum(
-            count * _power_term(spec, lo, hi)
-            for (lo, hi), count in sorted(g.degree_pair_counts.items())
-        )
-    return spec.scale * total
+        return _weighted_sum(spec, {(d,): c for d, c in g.degree_counts.items()})
+    return _weighted_sum(spec, g.degree_pair_counts)
 
 
 def evaluate_from_profile(
@@ -92,18 +100,14 @@ def evaluate_from_profile(
     if isinstance(profile, EdgeProfile):
         if spec.kind is not IndexKind.EDGE:
             raise KindMismatch(f"{spec.name} is vertex-kind; got an edge profile")
-        total = (
-            profile.m22 * _power_term(spec, 2, 2)
-            + profile.m24 * _power_term(spec, 2, 4)
-            + profile.m44 * _power_term(spec, 4, 4)
+        return _weighted_sum(
+            spec, {(2, 2): profile.m22, (2, 4): profile.m24, (4, 4): profile.m44}
         )
-    elif isinstance(profile, VertexProfile):
+    if isinstance(profile, VertexProfile):
         if spec.kind is not IndexKind.VERTEX:
             raise KindMismatch(f"{spec.name} is edge-kind; got a vertex profile")
-        total = profile.c2 * _power_term(spec, 2) + profile.c4 * _power_term(spec, 4)
-    else:
-        raise TypeError(f"expected EdgeProfile or VertexProfile, got {profile!r}")
-    return spec.scale * total
+        return _weighted_sum(spec, {(2,): profile.c2, (4,): profile.c4})
+    raise TypeError(f"expected EdgeProfile or VertexProfile, got {profile!r}")
 
 
 def _identity(t):

@@ -86,14 +86,12 @@ def simulate(
     from the derived seed replication_seed(seed, r).
     """
     steps = require_n(n) - 2
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps!r}")
+    reps = require_n(reps, minimum=1, name="reps")
     c = analytics.coefficients(spec, probs)
-    p = float(probs.p_ortho)
     ortho = np.empty(reps, dtype=np.int64)
     for r in range(reps):
         u = rng_from_seed(replication_seed(seed, r)).random(steps)
-        ortho[r] = np.count_nonzero(u < p)
+        ortho[r] = np.count_nonzero(u < c.p_ortho)
     # ti2 + ... keeps the two-hexagon chain (steps = 0) exactly at ti2.
     values = (c.ti2 + c.alpha_meta * steps) + c.B * ortho
     values.setflags(write=False)
@@ -117,7 +115,6 @@ class HistogramData:
 
     edges: np.ndarray
     counts: np.ndarray
-    mode: str = "counts"
 
     @property
     def total(self) -> int:
@@ -133,23 +130,8 @@ def histogram(samples, bins: int) -> HistogramData:
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise EmptySample("cannot histogram an empty sample")
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins!r}")
-    counts, edges = np.histogram(x, bins=int(bins))
+    counts, edges = np.histogram(x, bins=require_n(bins, minimum=1, name="bins"))
     return HistogramData(edges=edges, counts=counts)
-
-
-@dataclass(frozen=True)
-class NormalityThresholds:
-    """Gates for declaring a standardized sample consistent with N(0, 1)."""
-
-    ks_statistic: float = 0.03
-    mean_abs: float = 0.05
-    variance_gap: float = 0.05
-    skewness_abs: float = 0.1
-
-
-DEFAULT_THRESHOLDS = NormalityThresholds()
 
 
 @dataclass(frozen=True)
@@ -169,18 +151,16 @@ class NormalityReport:
         return self.ks_ok and self.mean_ok and self.variance_ok and self.skewness_ok
 
 
-def normality_check(
-    samples, thresholds: NormalityThresholds | None = None
-) -> NormalityReport:
+def normality_check(samples) -> NormalityReport:
     """Kolmogorov-Smirnov statistic against N(0, 1), plus moment gates.
 
-    The reference CDF is evaluated through math.erf.  Requires at least 100
-    samples.
+    The sample passes when KS < 0.03, |mean| < 0.05, |variance - 1| < 0.05
+    and |skewness| < 0.1.  The reference CDF is evaluated through math.erf.
+    Requires at least 100 samples.
     """
     x = np.asarray(samples, dtype=float)
     if x.size < 100:
         raise SampleTooSmall(f"need at least 100 samples, got {x.size}")
-    gates = thresholds if thresholds is not None else DEFAULT_THRESHOLDS
     stats = summarize(x)
     ordered = np.sort(x)
     cdf = 0.5 * (1.0 + _erf(ordered / math.sqrt(2.0)).astype(float))
@@ -194,10 +174,10 @@ def normality_check(
         variance=stats.variance,
         skewness=stats.skewness,
         excess_kurtosis=stats.excess_kurtosis,
-        ks_ok=ks < gates.ks_statistic,
-        mean_ok=abs(stats.mean) < gates.mean_abs,
-        variance_ok=abs(stats.variance - 1.0) < gates.variance_gap,
-        skewness_ok=abs(stats.skewness) < gates.skewness_abs,
+        ks_ok=ks < 0.03,
+        mean_ok=abs(stats.mean) < 0.05,
+        variance_ok=abs(stats.variance - 1.0) < 0.05,
+        skewness_ok=abs(stats.skewness) < 0.1,
     )
 
 
@@ -222,13 +202,11 @@ def martingale_residual_check(
     trajectory.
     """
     steps = require_n(n, minimum=3) - 2
-    if trajectories < 1:
-        raise ValueError(f"trajectories must be >= 1, got {trajectories!r}")
+    trajectories = require_n(trajectories, minimum=1, name="trajectories")
     c = analytics.coefficients(spec, probs)
-    p = float(probs.p_ortho)
     tally = np.zeros(steps, dtype=np.int64)
     for block, start in enumerate(range(0, trajectories, _TRAJECTORY_BLOCK)):
         size = min(_TRAJECTORY_BLOCK, trajectories - start)
         u = rng_from_seed(replication_seed(seed, block)).random(size * steps)
-        tally += np.count_nonzero(u.reshape(size, steps) < p, axis=0)
-    return float(np.max(np.abs(c.B * (tally / trajectories - p))))
+        tally += np.count_nonzero(u.reshape(size, steps) < c.p_ortho, axis=0)
+    return float(np.max(np.abs(c.B * (tally / trajectories - c.p_ortho))))

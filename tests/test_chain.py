@@ -158,6 +158,61 @@ def test_every_n_taker_validates_n_alike(name):
     call(np.int64(5))
 
 
+# Every public count argument other than n: replications, trajectories, bins
+# and the enumeration cap.
+COUNT_TAKERS = {
+    "simulate reps": lambda k: sc.simulate(ZAGREB2, 10, UNIFORM, k, 0),
+    "martingale_residual_check trajectories": (
+        lambda k: sc.martingale_residual_check(ZAGREB2, UNIFORM, 10, k, 0)
+    ),
+    "histogram bins": lambda k: sc.histogram([1.0, 2.0, 4.0], k),
+    "enumerate_all max_n": lambda k: list(enumerate_all(4, UNIFORM, max_n=k)),
+}
+
+
+@pytest.mark.parametrize("name", list(COUNT_TAKERS))
+def test_every_count_taker_validates_counts_alike(name):
+    call = COUNT_TAKERS[name]
+    for bad in (0, 2.5, True, "3"):
+        with pytest.raises(InvalidN):
+            call(bad)
+    call(np.int64(5))
+
+
+# Every public function that takes link probabilities, reduced to a value
+# that compares with ==.
+PROB_TAKERS = {
+    "generate": lambda p: generate(30, p, 4).links,
+    "enumerate_all": lambda p: list(enumerate_all(5, p)),
+    "coefficients": lambda p: sc.coefficients(ZAGREB2, p),
+    "expected_value": lambda p: sc.expected_value(ZAGREB2, 10, p),
+    "variance": lambda p: sc.variance(ZAGREB2, 10, p),
+    "second_moment": lambda p: sc.second_moment(ZAGREB2, 10, p),
+    "exact_distribution": lambda p: (
+        sc.exact_distribution(ZAGREB2, 10, p).support.tolist(),
+        sc.exact_distribution(ZAGREB2, 10, p).pmf.tolist(),
+    ),
+    "mgf": lambda p: sc.mgf(ZAGREB2, 10, p, 0.01),
+    "standardize": lambda p: sc.standardize(100.0, ZAGREB2, 10, p),
+    "martingale_transform": lambda p: (
+        sc.martingale_transform([64.0, 84.0, 110.0], ZAGREB2, p).tolist()
+    ),
+    "compare_expectations": lambda p: sc.compare_expectations(10, p),
+    "simulate": lambda p: sc.simulate(ZAGREB2, 10, p, 5, 0).values.tolist(),
+    "martingale_residual_check": (
+        lambda p: sc.martingale_residual_check(ZAGREB2, p, 10, 50, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PROB_TAKERS))
+def test_every_probability_taker_accepts_tuples(name):
+    call = PROB_TAKERS[name]
+    assert call((0.3, 0.45, 0.25)) == call(LinkProbabilities(0.3, 0.45, 0.25))
+    with pytest.raises(InvalidProbabilities):
+        call((0.5, 0.5, 0.5))
+
+
 def test_generate_trivial_cases():
     assert generate(2, UNIFORM, 123).links == ()
     degenerate = generate(10, LinkProbabilities(1.0, 0.0, 0.0), 5)

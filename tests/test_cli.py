@@ -277,6 +277,7 @@ def test_index_exponent_overflow_exits_2(capsys):
     ["analyze", "--format", "csv"],
     ["distribution"],
     ["simulate", "--reps", "5"],
+    ["compute"],
 ])
 def test_non_finite_output_exits_2_and_writes_nothing(capsys, tmp_path, argv):
     # 4**511 is finite, but the sums over a chain overflow the double range.

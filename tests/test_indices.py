@@ -140,6 +140,15 @@ def test_exponent_overflow_is_undefined_base():
         evaluate(huge, SEED_GRAPH)
 
 
+def test_overflowing_sums_raise_undefined_base():
+    # 4**511 is finite, but eight degree-4 vertices sum past the double range.
+    spec = registry_lookup("variable-first-zagreb", 511)
+    with pytest.raises(UndefinedBase, match="not finite"):
+        evaluate(spec, generate(10, UNIFORM, 0).graph)
+    with pytest.raises(UndefinedBase, match="not finite"):
+        evaluate_from_profile(spec, VertexProfile(40, 8))
+
+
 def test_kind_mismatch():
     with pytest.raises(KindMismatch):
         evaluate_from_profile(registry_lookup("first-zagreb"), EdgeProfile(8, 4, 0))
