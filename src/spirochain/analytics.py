@@ -139,19 +139,25 @@ def coefficients(spec: IndexSpec, probs: LinkProbabilities) -> ChainCoefficients
     )
 
 
+def _mean(c: ChainCoefficients, n: int) -> float:
+    return c.ti2 + c.alpha_bar * (n - 2)
+
+
+def _variance(c: ChainCoefficients, n: int) -> float:
+    # Spread form of beta - alpha_bar**2; non-negative by construction.
+    return c.B * c.B * c.p_ortho * (1.0 - c.p_ortho) * (n - 2)
+
+
 def expected_value(spec: IndexSpec, n: int, probs: LinkProbabilities) -> float:
     """Mean index value over random chains with n hexagons."""
     n = require_n(n)
-    c = coefficients(spec, probs)
-    return c.ti2 + c.alpha_bar * (n - 2)
+    return _mean(coefficients(spec, probs), n)
 
 
 def variance(spec: IndexSpec, n: int, probs: LinkProbabilities) -> float:
     """Variance of the index value over random chains with n hexagons."""
     n = require_n(n)
-    c = coefficients(spec, probs)
-    # Spread form of beta - alpha_bar**2; non-negative by construction.
-    return c.B * c.B * c.p_ortho * (1.0 - c.p_ortho) * (n - 2)
+    return _variance(coefficients(spec, probs), n)
 
 
 def second_moment(spec: IndexSpec, n: int, probs: LinkProbabilities) -> float:
@@ -292,14 +298,20 @@ def mgf(spec: IndexSpec, n: int, probs: LinkProbabilities, t: float) -> float:
     Factorizes as exp(t * ti2) times the per-step factor
     p_ortho * exp(t * alpha_ortho) + (1 - p_ortho) * exp(t * alpha_meta)
     raised to n-2.
-    Raises the built-in OverflowError when t and the increments push the
-    result past the double range.
+    Raises UndefinedBase when t and the increments push the result past
+    the double range (or t is NaN).
     """
     n = require_n(n)
     c = coefficients(spec, probs)
     p = c.p_ortho
-    step = p * math.exp(t * c.alpha_ortho) + (1.0 - p) * math.exp(t * c.alpha_meta)
-    return math.exp(t * c.ti2) * step ** (n - 2)
+    try:
+        step = p * math.exp(t * c.alpha_ortho) + (1.0 - p) * math.exp(t * c.alpha_meta)
+        value = math.exp(t * c.ti2) * step ** (n - 2)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise UndefinedBase(f"{spec.name}: the mgf at t={t!r}, n={n} is not finite")
+    return value
 
 
 def standardize(value, spec: IndexSpec, n: int, probs: LinkProbabilities):
@@ -308,13 +320,14 @@ def standardize(value, spec: IndexSpec, n: int, probs: LinkProbabilities):
     Accepts a scalar or an array of values.  Raises DegenerateVariance for
     deterministic indices, n = 2, or boundary probabilities.
     """
-    var = variance(spec, n, probs)
+    n = require_n(n)
     c = coefficients(spec, probs)
+    var = _variance(c, n)
     if var <= 0 or c.deterministic:
         raise DegenerateVariance(
             f"{spec.name} has zero variance at n={n}, p_ortho={c.p_ortho}"
         )
-    return (value - expected_value(spec, n, probs)) / math.sqrt(var)
+    return (value - _mean(c, n)) / math.sqrt(var)
 
 
 def martingale_transform(

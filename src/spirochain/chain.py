@@ -228,6 +228,7 @@ def draw_link_indexes(
     Returns indexes into LINK_ORDER.  The final CDF boundary is pinned to
     1.0 so that uniforms never fall past the last bucket.
     """
+    probs = _coerce_probs(probs)
     cdf = np.array([probs.p_ortho, probs.p_ortho + probs.p_meta, 1.0], dtype=float)
     u = rng.random(count)
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
@@ -240,7 +241,7 @@ def generate(n: int, probs: LinkProbabilities, seed: int) -> SpiroChain:
     graph, bit for bit.
     """
     steps = require_n(n) - 2
-    indexes = draw_link_indexes(rng_from_seed(seed), steps, _coerce_probs(probs))
+    indexes = draw_link_indexes(rng_from_seed(seed), steps, probs)
     return replay(LINK_ORDER[i] for i in indexes)
 
 

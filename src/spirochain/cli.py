@@ -201,8 +201,8 @@ def _json_text(payload: dict, indent: int | None = 2) -> str:
         raise UsageError(_NON_FINITE) from None
 
 
-def _emit_json(payload: dict, args: argparse.Namespace, indent: int | None = 2) -> None:
-    _emit(_json_text(payload, indent), args.out)
+def _emit_json(payload: dict, args: argparse.Namespace) -> None:
+    _emit(_json_text(payload), args.out)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -244,20 +244,19 @@ def cmd_generate(args: argparse.Namespace) -> None:
         raise UsageError("--format csv is not supported for generate")
     chain = generate(n, probs, args.seed)
     profile = edge_profile(chain.graph)
-    graph = chain.graph.to_dict()
-    _emit_json(
-        {
-            "n": chain.n,
-            "links": links_to_string(chain.links),
-            "vertices": graph["vertices"],
-            "edges": graph["edges"],
-            "edge_profile": {"m22": profile.m22, "m24": profile.m24, "m44": profile.m44},
-            "rng": GENERATOR_ALGORITHM,
-            "seed": args.seed,
-        },
-        args,
-        indent=None,  # edge lists get long; keep the document on one line
+    # One line, as json.dumps writes it, with the long edge list spliced in
+    # from the graph's own numpy writer.
+    head = _json_text(
+        {"n": chain.n, "links": links_to_string(chain.links),
+         "vertices": chain.graph.vertex_count},
+        indent=None,
     )
+    tail = _json_text(
+        {"edge_profile": {"m22": profile.m22, "m24": profile.m24, "m44": profile.m44},
+         "rng": GENERATOR_ALGORITHM, "seed": args.seed},
+        indent=None,
+    )
+    _emit(f'{head[:-1]}, "edges": {chain.graph.edges_json()}, {tail[1:]}', args.out)
 
 
 def cmd_compute(args: argparse.Namespace) -> None:

@@ -268,8 +268,23 @@ def test_non_finite_constants_raise_undefined_base(name):
 
 
 def test_mgf_overflow_is_signalled():
-    with pytest.raises(OverflowError):
-        mgf(ZAGREB2, 1000, HALF, 50.0)
+    # exp(t * alpha) overflows; the step's power overflows although its log
+    # is finite; both factors are finite but their product is not; NaN t.
+    for n, probs, t in ((1000, HALF, 50.0), (10**6, UNIFORM, 1.0),
+                        (3, UNIFORM, 7.0), (10, UNIFORM, math.nan)):
+        with pytest.raises(UndefinedBase, match="mgf .* not finite"):
+            mgf(ZAGREB2, n, probs, t)
+
+
+def test_standardize_uses_the_closed_form_moments_exactly():
+    values = np.array([-3.5, 0.0, 100.0, 404.0, 1e6])
+    for spec, n, probs in ((ZAGREB2, 10, HALF), (NIRMALA, 1000, UNIFORM),
+                           (RANDIC, 3, (0.3, 0.45, 0.25))):
+        expected = (values - expected_value(spec, n, probs)) / math.sqrt(
+            variance(spec, n, probs)
+        )
+        assert np.array_equal(standardize(values, spec, n, probs), expected)
+        assert standardize(404.0, spec, n, probs) == expected[3]
 
 
 def test_standardize_examples():

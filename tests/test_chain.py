@@ -182,6 +182,9 @@ def test_every_count_taker_validates_counts_alike(name):
 # Every public function that takes link probabilities, reduced to a value
 # that compares with ==.
 PROB_TAKERS = {
+    "draw_link_indexes": (
+        lambda p: sc.draw_link_indexes(sc.rng_from_seed(0), 5, p).tolist()
+    ),
     "generate": lambda p: generate(30, p, 4).links,
     "enumerate_all": lambda p: list(enumerate_all(5, p)),
     "coefficients": lambda p: sc.coefficients(ZAGREB2, p),

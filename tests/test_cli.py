@@ -4,15 +4,20 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from spirochain import (
     LinkProbabilities,
+    MolecularGraph,
     coefficients,
+    edge_profile,
     evaluate,
     generate,
+    links_to_string,
     registry_lookup,
 )
+from spirochain import cli
 from spirochain.cli import main
 
 UNIFORM_FLAGS = []
@@ -60,6 +65,46 @@ def test_generate_validation_failures(capsys):
     assert code == 2 and "--p-ortho" in err
     code, _, err = run(capsys, "generate", "--n", "4", "--p-meta", "0.5")
     assert code == 2
+
+
+class _EdgesWithoutTolist(np.ndarray):
+    def tolist(self):
+        raise AssertionError("the edge list went through ndarray.tolist")
+
+
+@pytest.mark.parametrize("n", [2, 1000])
+def test_generate_writes_edges_without_python_lists(capsys, monkeypatch, n):
+    chain = generate(n, LinkProbabilities(0.3, 0.45, 0.25), 11)
+    graph = chain.graph.to_dict()
+    profile = edge_profile(chain.graph)
+    reference = json.dumps(
+        {
+            "n": n,
+            "links": links_to_string(chain.links),
+            "vertices": graph["vertices"],
+            "edges": graph["edges"],
+            "edge_profile": {"m22": profile.m22, "m24": profile.m24, "m44": profile.m44},
+            "rng": "philox4x64-10",
+            "seed": 11,
+        },
+        separators=None,
+    ) + "\n"
+
+    def refuse(self):
+        raise AssertionError("generate went through MolecularGraph.to_dict")
+
+    def guarded_generate(*args):
+        chain = generate(*args)
+        edges = chain.graph.edges.view(_EdgesWithoutTolist)
+        object.__setattr__(chain.graph, "edges", edges)
+        return chain
+
+    monkeypatch.setattr(MolecularGraph, "to_dict", refuse)
+    monkeypatch.setattr(cli, "generate", guarded_generate)
+    code, out, err = run(capsys, "generate", "--n", str(n), "--seed", "11",
+                         "--p-ortho", "0.3", "--p-meta", "0.45", "--p-para", "0.25")
+    assert (code, err) == (0, "")
+    assert out == reference
 
 
 def test_compute_on_explicit_links(capsys):

@@ -1,13 +1,18 @@
 """Graph representation and degree profiles."""
 
+import itertools
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spirochain import (
     EdgeProfile,
     LinkProbabilities,
+    LinkType,
     MolecularGraph,
     UnsupportedDegree,
     VertexProfile,
@@ -15,6 +20,7 @@ from spirochain import (
     generate,
     hexagon,
     initial_chain,
+    replay,
     vertex_profile,
 )
 
@@ -132,3 +138,29 @@ def test_profiles_are_pure():
     g = generate(9, LinkProbabilities.uniform(), 3).graph
     assert edge_profile(g) == edge_profile(g)
     assert vertex_profile(g) == vertex_profile(g)
+
+
+def assert_edges_json_matches_dumps(g):
+    assert g.edges_json() == json.dumps(g.edges.tolist())
+
+
+@given(st.lists(st.sampled_from(list(LinkType)), max_size=60))
+def test_edges_json_matches_dumps_on_replayed_chains(links):
+    assert_edges_json_matches_dumps(replay(links).graph)
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 100_000])
+def test_edges_json_matches_dumps_on_generated_chains(n):
+    chain = generate(n, LinkProbabilities(0.3, 0.45, 0.25), n)
+    assert_edges_json_matches_dumps(chain.graph)
+
+
+def test_edges_json_matches_dumps_on_small_and_hand_graphs():
+    assert_edges_json_matches_dumps(initial_chain(1).graph)
+    empty = MolecularGraph(0, np.empty((0, 2)))
+    assert empty.edges_json() == "[]" == json.dumps(empty.edges.tolist())
+    assert_edges_json_matches_dumps(MolecularGraph(2, np.array([[1, 0]])))
+    # all pairs of the ids on and next to each power of ten up to 10**6
+    ids = sorted({0, *(p + d for p in (10**k for k in range(7)) for d in (-1, 0, 1))})
+    edges = np.array(list(itertools.combinations(ids, 2))[::-1])
+    assert_edges_json_matches_dumps(MolecularGraph(10**6 + 2, edges))
