@@ -139,13 +139,39 @@ def coefficients(spec: IndexSpec, probs: LinkProbabilities) -> ChainCoefficients
     )
 
 
+def _finite(law):
+    """Make a closed form in (coefficients, n) raise UndefinedBase when its
+    value, or n itself, does not fit the double range."""
+    def checked(c: ChainCoefficients, n: int) -> float:
+        try:
+            value = law(c, n)
+        except OverflowError:  # n - 2 does not convert to a double
+            value = math.inf
+        if not math.isfinite(value):
+            raise UndefinedBase(f"the {law.__name__[1:].replace('_', ' ')} is not "
+                                "finite: n or the index values overflow the double range")
+        return value
+    return checked
+
+
+@_finite
 def _mean(c: ChainCoefficients, n: int) -> float:
     return c.ti2 + c.alpha_bar * (n - 2)
 
 
+@_finite
 def _variance(c: ChainCoefficients, n: int) -> float:
     # Spread form of beta - alpha_bar**2; non-negative by construction.
     return c.B * c.B * c.p_ortho * (1.0 - c.p_ortho) * (n - 2)
+
+
+@_finite
+def _second_moment(c: ChainCoefficients, n: int) -> float:
+    return (
+        c.ti2 * c.ti2
+        + (2.0 * c.alpha_bar * c.ti2 + c.beta) * (n - 2)
+        + (n - 3) * (n - 2) * c.alpha_bar * c.alpha_bar
+    )
 
 
 def expected_value(spec: IndexSpec, n: int, probs: LinkProbabilities) -> float:
@@ -163,12 +189,7 @@ def variance(spec: IndexSpec, n: int, probs: LinkProbabilities) -> float:
 def second_moment(spec: IndexSpec, n: int, probs: LinkProbabilities) -> float:
     """Mean of the squared index value over random chains with n hexagons."""
     n = require_n(n)
-    c = coefficients(spec, probs)
-    return (
-        c.ti2 * c.ti2
-        + (2.0 * c.alpha_bar * c.ti2 + c.beta) * (n - 2)
-        + (n - 3) * (n - 2) * c.alpha_bar * c.alpha_bar
-    )
+    return _second_moment(coefficients(spec, probs), n)
 
 
 @dataclass(frozen=True, eq=False)

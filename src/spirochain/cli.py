@@ -1,6 +1,14 @@
 """Command-line front door: generate, compute, analyze, distribution,
 simulate and compare, all with machine-readable output.
 
+`COMMANDS` is the one table of subcommands: for each, its help, its own
+flags, its default format, the function that turns its payload into a CSV
+table (None where it writes JSON only) and its handler.  `build_parser`
+loops over that table.  After parsing, `_resolve` checks the shared inputs
+once, in one order: --index and --a, then --n, then the probabilities, then
+--format.  Handlers only build a payload, and `_emit` renders and writes
+every output.
+
 Exit codes: 0 success, 2 validation failure, 3 degenerate variance (a
 standardized view of a deterministic index was requested), 4 internal error.
 """
@@ -48,150 +56,36 @@ class UsageError(Exception):
     """Invalid flag combination or value; maps to exit code 2."""
 
 
-def _add_prob_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p-ortho", type=float, default=None,
-                        help="probability of an ortho link (alone: remainder is split "
-                             "equally between meta and para; default: uniform 1/3 each)")
-    parser.add_argument("--p-meta", type=float, default=None,
-                        help="probability of a meta link")
-    parser.add_argument("--p-para", type=float, default=None,
-                        help="probability of a para link")
-
-
-def _add_index_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--index", required=True, choices=REGISTRY_NAMES,
-                        metavar="NAME", help=f"one of: {', '.join(REGISTRY_NAMES)}")
-    parser.add_argument("--a", type=float, default=None,
-                        help="exponent, required for the variable-* indices")
-
-
-def _add_output_flags(parser: argparse.ArgumentParser, default_format: str) -> None:
-    parser.add_argument("--out", type=Path, default=None,
-                        help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default=default_format,
-                        help=f"output format (default: {default_format})")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spiro",
-        description="Random spiro chains: generation, degree-based topological "
-                    "indices, closed-form laws, and Monte Carlo studies.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="grow one random chain and emit it as JSON")
-    p.add_argument("--n", type=int, required=True, help="number of hexagons (>= 2)")
-    p.add_argument("--seed", type=int, default=0)
-    _add_prob_flags(p)
-    _add_output_flags(p, "json")
-    p.set_defaults(handler=cmd_generate)
-
-    p = sub.add_parser("compute", help="evaluate an index on one chain")
-    _add_index_flags(p)
-    p.add_argument("--links", type=str, default=None,
-                   help='link sequence over {O,M,P}, e.g. "OMPO" ("" is the seed chain)')
-    p.add_argument("--n", type=int, default=None, help="grow a random chain instead")
-    p.add_argument("--seed", type=int, default=0)
-    _add_prob_flags(p)
-    _add_output_flags(p, "json")
-    p.set_defaults(handler=cmd_compute)
-
-    p = sub.add_parser("analyze", help="closed-form constants and moments")
-    _add_index_flags(p)
-    p.add_argument("--n", type=int, required=True)
-    _add_prob_flags(p)
-    _add_output_flags(p, "json")
-    p.set_defaults(handler=cmd_analyze)
-
-    p = sub.add_parser("distribution", help="exact value distribution")
-    _add_index_flags(p)
-    p.add_argument("--n", type=int, required=True)
-    _add_prob_flags(p)
-    _add_output_flags(p, "csv")
-    p.set_defaults(handler=cmd_distribution)
-
-    p = sub.add_parser("simulate", help="Monte Carlo study of an index")
-    _add_index_flags(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=5000)
-    p.add_argument("--bins", type=int, default=40, help="histogram bin count")
-    p.add_argument("--standardize", action="store_true",
-                   help="center and scale samples by the closed-form moments "
-                        "(fails with exit code 3 for deterministic indices)")
-    p.add_argument("--samples-out", type=Path, default=None,
-                   help="write the samples as CSV, one value per line")
-    p.add_argument("--histogram-out", type=Path, default=None,
-                   help="write a histogram CSV (bin_left, bin_right, count, density)")
-    _add_prob_flags(p)
-    _add_output_flags(p, "json")
-    p.set_defaults(handler=cmd_simulate)
-
-    p = sub.add_parser("compare", help="expected values of the five comparison indices")
-    p.add_argument("--n", type=int, required=True)
-    _add_prob_flags(p)
-    _add_output_flags(p, "json")
-    p.set_defaults(handler=cmd_compare)
-
-    return parser
-
-
-def _resolve_probs(args: argparse.Namespace) -> LinkProbabilities:
+def _resolve(args: argparse.Namespace) -> None:
+    """Check the inputs the subcommands share and store the resolved values
+    on `args`: `spec` (where there is --index), `n`, `probs`; then --format."""
+    if "index" in args:
+        if args.a is not None and args.index not in VARIABLE_EXPONENT_NAMES:
+            raise UsageError(f"--a only applies to: {', '.join(VARIABLE_EXPONENT_NAMES)}")
+        try:
+            args.spec = registry_lookup(args.index, args.a)
+        except MissingExponent:
+            raise UsageError(f"--a is required for --index {args.index}") from None
+    if args.n is not None:  # optional for compute only
+        args.n = require_n(args.n, name="--n")
     trio = (args.p_ortho, args.p_meta, args.p_para)
-    given = [p is not None for p in trio]
-    if not any(given):
-        return LinkProbabilities.uniform()
-    if given == [True, False, False]:
-        return LinkProbabilities.from_ortho(args.p_ortho)
-    if not all(given):
-        raise UsageError(
-            "give --p-ortho alone, all of --p-ortho/--p-meta/--p-para, or none"
-        )
-    total = sum(trio)
-    if abs(total - 1) > _PROB_SUM_TOL:
-        raise UsageError(
-            f"--p-ortho/--p-meta/--p-para must sum to 1, got {total!r}"
-        )
-    return LinkProbabilities(*(p / total for p in trio))
+    if trio[1:] == (None, None):
+        args.probs = (LinkProbabilities.uniform() if args.p_ortho is None
+                      else LinkProbabilities.from_ortho(args.p_ortho))
+    elif None in trio:
+        raise UsageError("give --p-ortho alone, all of --p-ortho/--p-meta/--p-para, or none")
+    elif abs(sum(trio) - 1) > _PROB_SUM_TOL:
+        raise UsageError(f"--p-ortho/--p-meta/--p-para must sum to 1, got {sum(trio)!r}")
+    else:
+        args.probs = LinkProbabilities(*(p / sum(trio) for p in trio))
+    if args.format == "csv" and args.to_csv is None:
+        raise UsageError(f"--format csv is not supported for {args.command}")
 
 
-def _resolve_spec(args: argparse.Namespace):
-    if args.a is not None and args.index not in VARIABLE_EXPONENT_NAMES:
-        raise UsageError(f"--a only applies to: {', '.join(VARIABLE_EXPONENT_NAMES)}")
-    try:
-        return registry_lookup(args.index, args.a)
-    except MissingExponent:
-        raise UsageError(f"--a is required for --index {args.index}") from None
-
-
-def _write(path: Path, text: str, flag: str) -> None:
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise UsageError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from None
-
-
-def _emit(text: str, out: Path | None, files=()) -> None:
-    """Write the (path, text, flag) `files`, then `text` to `out` or stdout.
-
-    All texts are rendered before the call, and a failed write removes the
-    files this call already wrote, so a usage error leaves no partial output.
-    """
-    text = text if text.endswith("\n") else text + "\n"
-    if out is not None:
-        files = (*files, (out, text, "--out"))
-    written = []
-    try:
-        for path, body, flag in files:
-            _write(path, body, flag)
-            written.append(path)
-    except UsageError:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-    if out is None:
-        print(text, end="")
+def _echo(args: argparse.Namespace) -> dict:
+    """The resolved inputs a payload repeats: index, --a when given, n, probabilities."""
+    a = {} if args.a is None else {"a": args.a}
+    return {"index": args.spec.name, **a, "n": args.n, **asdict(args.probs)}
 
 
 def _json_text(payload: dict, indent: int | None = 2) -> str:
@@ -201,233 +95,261 @@ def _json_text(payload: dict, indent: int | None = 2) -> str:
         raise UsageError(_NON_FINITE) from None
 
 
-def _emit_json(payload: dict, args: argparse.Namespace) -> None:
-    _emit(_json_text(payload), args.out)
-
-
 def _csv_text(header: list[str], rows: list[list]) -> str:
     if any(isinstance(x, float) and not math.isfinite(x) for row in rows for x in row):
         raise UsageError(_NON_FINITE)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(rows)  # None is written as an empty field
     return buffer.getvalue()
 
 
-def _emit_flat(payload: dict, args: argparse.Namespace) -> None:
-    """Flat key/value payload as JSON, or as key,value CSV rows."""
-    if args.format == "json":
-        _emit_json(payload, args)
-        return
+def _emit(args: argparse.Namespace, payload, files) -> None:
+    """Write each (path, flag, render) file whose path was given, then the
+    payload (a dict, or JSON text) in the chosen format to --out or stdout.
+    All texts are rendered before the first write, and a failed write removes
+    the files already written, so a usage error leaves no partial output."""
+    if isinstance(payload, str):
+        text = payload + "\n"
+    elif args.format == "json":
+        text = _json_text(payload) + "\n"
+    else:
+        text = _csv_text(*args.to_csv(payload))
+    outputs = [(path, flag, render()) for path, flag, render in files if path is not None]
+    if args.out is not None:
+        outputs.append((args.out, "--out", text))
+    for i, (path, flag, body) in enumerate(outputs):
+        try:
+            path.write_text(body)
+        except OSError as exc:
+            for written, _, _ in outputs[:i]:
+                written.unlink(missing_ok=True)
+            raise UsageError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from None
+    if args.out is None:
+        print(text, end="")
+
+
+def _flat_table(payload: dict) -> tuple[list[str], list[list]]:
+    """Key/value rows; a list value becomes one `key_i` row per item."""
     rows = []
     for key, value in payload.items():
         if isinstance(value, (list, tuple)):
             rows.extend([f"{key}_{i}", item] for i, item in enumerate(value))
         else:
             rows.append([key, value])
-    _emit(_csv_text(["key", "value"], rows), args.out)
+    return ["key", "value"], rows
 
 
-def _prob_fields(probs: LinkProbabilities) -> dict:
-    return {
-        "p_ortho": probs.p_ortho,
-        "p_meta": probs.p_meta,
-        "p_para": probs.p_para,
-    }
+def _rows_table(payload: dict) -> tuple[list[str], list[list]]:
+    return list(payload["rows"][0]), [list(row.values()) for row in payload["rows"]]
 
 
-def cmd_generate(args: argparse.Namespace) -> None:
-    n = require_n(args.n, name="--n")
-    probs = _resolve_probs(args)
-    if args.format != "json":
-        raise UsageError("--format csv is not supported for generate")
-    chain = generate(n, probs, args.seed)
+def _compare_table(payload: dict) -> tuple[list[str], list[list]]:
+    holds = ["", *(entry["holds"] for entry in payload["orderings"])]
+    rows = [[*pair, ordered] for pair, ordered in zip(payload["expectations"].items(), holds)]
+    return ["index", "expectation", "ordered_after_previous"], rows
+
+
+def _histogram_csv(samples, bins: int) -> str:
+    hist = montecarlo.histogram(samples, bins)
+    edges = hist.edges.tolist()
+    rows = list(zip(edges[:-1], edges[1:], hist.counts.tolist(), hist.densities().tolist()))
+    return _csv_text(["bin_left", "bin_right", "count", "density"], rows)
+
+
+def cmd_generate(args: argparse.Namespace):
+    chain = generate(args.n, args.probs, args.seed)
     profile = edge_profile(chain.graph)
-    # One line, as json.dumps writes it, with the long edge list spliced in
-    # from the graph's own numpy writer.
-    head = _json_text(
-        {"n": chain.n, "links": links_to_string(chain.links),
-         "vertices": chain.graph.vertex_count},
-        indent=None,
-    )
-    tail = _json_text(
-        {"edge_profile": {"m22": profile.m22, "m24": profile.m24, "m44": profile.m44},
-         "rng": GENERATOR_ALGORITHM, "seed": args.seed},
-        indent=None,
-    )
-    _emit(f'{head[:-1]}, "edges": {chain.graph.edges_json()}, {tail[1:]}', args.out)
+    # One line, as json.dumps writes it, with the long edge list put in from
+    # the graph's own numpy writer ("links" holds only O, M and P, so the
+    # placeholder is the first match).
+    text = _json_text({
+        "n": chain.n, "links": links_to_string(chain.links),
+        "vertices": chain.graph.vertex_count, "edges": 0,
+        "edge_profile": {"m22": profile.m22, "m24": profile.m24, "m44": profile.m44},
+        "rng": GENERATOR_ALGORITHM, "seed": args.seed,
+    }, indent=None)
+    return text.replace('"edges": 0', f'"edges": {chain.graph.edges_json()}', 1), ()
 
 
-def cmd_compute(args: argparse.Namespace) -> None:
-    spec = _resolve_spec(args)
+def cmd_compute(args: argparse.Namespace):
     if (args.links is None) == (args.n is None):
         raise UsageError("give exactly one of --links or --n")
-    if args.links is not None:
+    if args.links is None:
+        chain = generate(args.n, args.probs, args.seed)
+    else:
         try:
             chain = replay(parse_links(args.links))
         except ValueError as exc:
             raise UsageError(f"--links: {exc}") from None
-    else:
-        chain = generate(require_n(args.n, name="--n"), _resolve_probs(args), args.seed)
-    payload = {
-        "index": spec.name,
+    return {
+        "index": args.spec.name,
         "n": chain.n,
-        "value": evaluate(spec, chain.graph),
+        "value": evaluate(args.spec, chain.graph),
         "m44": edge_profile(chain.graph).m44,
-    }
-    _emit_flat(payload, args)
+    }, ()
 
 
-def cmd_analyze(args: argparse.Namespace) -> None:
-    spec = _resolve_spec(args)
-    n = require_n(args.n, name="--n")
-    probs = _resolve_probs(args)
-    c = analytics.coefficients(spec, probs)
-    payload = {"index": spec.name}
-    if args.a is not None:
-        payload["a"] = args.a
-    payload.update(
-        {
-            "n": n,
-            **_prob_fields(probs),
-            "ti2": c.ti2,
-            "alpha": [c.alpha_ortho, c.alpha_meta, c.alpha_para],
-            "alpha_bar": c.alpha_bar,
-            "beta": c.beta,
-            "A": c.A,
-            "B": c.B,
-            "C": c.C,
-            "mean": analytics.expected_value(spec, n, probs),
-            "variance": analytics.variance(spec, n, probs),
-            "deterministic": c.deterministic,
-        }
-    )
-    _emit_flat(payload, args)
+def cmd_analyze(args: argparse.Namespace):
+    c = analytics.coefficients(args.spec, args.probs)
+    return {
+        **_echo(args),
+        "ti2": c.ti2,
+        "alpha": [c.alpha_ortho, c.alpha_meta, c.alpha_para],
+        "alpha_bar": c.alpha_bar,
+        "beta": c.beta,
+        "A": c.A,
+        "B": c.B,
+        "C": c.C,
+        "mean": analytics.expected_value(args.spec, args.n, args.probs),
+        "variance": analytics.variance(args.spec, args.n, args.probs),
+        "deterministic": c.deterministic,
+    }, ()
 
 
-def cmd_distribution(args: argparse.Namespace) -> None:
-    spec = _resolve_spec(args)
-    n = require_n(args.n, name="--n")
-    probs = _resolve_probs(args)
-    dist = analytics.exact_distribution(spec, n, probs)
-    counts = dist.ortho_counts
-    rows = [
-        [("" if counts is None else int(counts[i])), float(v), float(p)]
-        for i, (v, p) in enumerate(zip(dist.support, dist.pmf))
-    ]
-    if args.format == "csv":
-        _emit(_csv_text(["k", "value", "probability"], rows), args.out)
-    else:
-        _emit_json(
-            {
-                "rows": [
-                    {"k": (None if k == "" else k), "value": v, "probability": p}
-                    for k, v, p in rows
-                ]
-            },
-            args,
-        )
+def cmd_distribution(args: argparse.Namespace):
+    dist = analytics.exact_distribution(args.spec, args.n, args.probs)
+    ks = [None] * dist.pmf.size if dist.ortho_counts is None else dist.ortho_counts.tolist()
+    return {"rows": [
+        {"k": k, "value": v, "probability": p}
+        for k, v, p in zip(ks, dist.support.tolist(), dist.pmf.tolist())
+    ]}, ()
 
 
-def cmd_simulate(args: argparse.Namespace) -> None:
-    spec = _resolve_spec(args)
-    n = require_n(args.n, name="--n")
-    probs = _resolve_probs(args)
-    if args.format != "json":
-        raise UsageError("--format csv is not supported for simulate")
+def cmd_simulate(args: argparse.Namespace):
     require_n(args.bins, minimum=1, name="--bins")
     normality = None
     if args.standardize:
-        samples = montecarlo.standardized_sample(spec, n, probs, args.reps, args.seed)
+        samples = montecarlo.standardized_sample(
+            args.spec, args.n, args.probs, args.reps, args.seed)
         summary = montecarlo.summarize(samples)
         if args.reps >= 100:
             report = montecarlo.normality_check(samples)
             normality = {**asdict(report), "passed": report.passed}
     else:
-        sim = montecarlo.simulate(spec, n, probs, args.reps, args.seed)
-        samples = sim.values
-        summary = sim.summary
-
-    payload = {"index": spec.name}
-    if args.a is not None:
-        payload["a"] = args.a
-    payload.update(
-        {
-            "n": n,
-            **_prob_fields(probs),
-            "reps": args.reps,
-            "seed": args.seed,
-            "rng": f"{GENERATOR_ALGORITHM}+{SEED_MIX_ALGORITHM}",
-            "standardized": bool(args.standardize),
-            "summary": {
-                _SUMMARY_KEYS.get(key, key): value
-                for key, value in asdict(summary).items()
-            },
-            "normality": normality,
-        }
-    )
-    # Rendered first: the summary's min and max make it fail on any
-    # non-finite sample, so the samples text needs no check of its own.
-    text = _json_text(payload)
-    files = []
-    if args.samples_out is not None:
-        files.append((args.samples_out, "".join(f"{v!r}\n" for v in samples.tolist()),
-                      "--samples-out"))
-    if args.histogram_out is not None:
-        hist = montecarlo.histogram(samples, args.bins)
-        density = hist.densities()
-        rows = [
-            [float(hist.edges[i]), float(hist.edges[i + 1]), int(hist.counts[i]),
-             float(density[i])]
-            for i in range(hist.counts.size)
-        ]
-        files.append((args.histogram_out,
-                      _csv_text(["bin_left", "bin_right", "count", "density"], rows),
-                      "--histogram-out"))
-    _emit(text, args.out, files)
-
-
-def cmd_compare(args: argparse.Namespace) -> None:
-    n = require_n(args.n, name="--n")
-    probs = _resolve_probs(args)
-    report = analytics.compare_expectations(n, probs)
-    if args.format == "csv":
-        rows = []
-        for i, (name, value) in enumerate(zip(report.names, report.expectations)):
-            ordered = "" if i == 0 else report.holds[i - 1]
-            rows.append([name, value, ordered])
-        _emit(_csv_text(["index", "expectation", "ordered_after_previous"], rows),
-              args.out)
-        return
-    _emit_json(
-        {
-            "n": n,
-            **_prob_fields(probs),
-            "expectations": dict(zip(report.names, report.expectations)),
-            "orderings": [
-                {"left": left, "right": right, "holds": holds}
-                for left, right, holds in report.pairs()
-            ],
-            "all_ordered": report.all_ordered,
+        sim = montecarlo.simulate(args.spec, args.n, args.probs, args.reps, args.seed)
+        samples, summary = sim.values, sim.summary
+    payload = {
+        **_echo(args),
+        "reps": args.reps,
+        "seed": args.seed,
+        "rng": f"{GENERATOR_ALGORITHM}+{SEED_MIX_ALGORITHM}",
+        "standardized": bool(args.standardize),
+        "summary": {
+            _SUMMARY_KEYS.get(key, key): value for key, value in asdict(summary).items()
         },
-        args,
+        "normality": normality,
+    }
+    # Rendered after the payload, whose summary min and max fail on any
+    # non-finite sample, so the file texts need no check of their own.
+    return payload, (
+        (args.samples_out, "--samples-out",
+         lambda: "".join(f"{v!r}\n" for v in samples.tolist())),
+        (args.histogram_out, "--histogram-out",
+         lambda: _histogram_csv(samples, args.bins)),
     )
+
+
+def cmd_compare(args: argparse.Namespace):
+    report = analytics.compare_expectations(args.n, args.probs)
+    return {
+        "n": args.n,
+        **asdict(args.probs),
+        "expectations": dict(zip(report.names, report.expectations)),
+        "orderings": [
+            {"left": left, "right": right, "holds": holds}
+            for left, right, holds in report.pairs()
+        ],
+        "all_ordered": report.all_ordered,
+    }, ()
+
+
+_INDEX_FLAGS = (
+    ("--index", {"required": True, "choices": REGISTRY_NAMES, "metavar": "NAME",
+                 "help": f"one of: {', '.join(REGISTRY_NAMES)}"}),
+    ("--a", {"type": float, "help": "exponent, required for the variable-* indices"}),
+)
+_N = ("--n", {"type": int, "required": True})
+_SEED = ("--seed", {"type": int, "default": 0})
+_PROB_FLAGS = (
+    ("--p-ortho", {"type": float,
+                   "help": "probability of an ortho link (alone: remainder is split "
+                           "equally between meta and para; default: uniform 1/3 each)"}),
+    ("--p-meta", {"type": float, "help": "probability of a meta link"}),
+    ("--p-para", {"type": float, "help": "probability of a para link"}),
+)
+
+# name: (help, flags before the probability flags, default format,
+#        payload -> CSV (header, rows) or None for JSON only, handler)
+COMMANDS = {
+    "generate": (
+        "grow one random chain and emit it as JSON",
+        (("--n", {"type": int, "required": True, "help": "number of hexagons (>= 2)"}),
+         _SEED),
+        "json", None, cmd_generate,
+    ),
+    "compute": (
+        "evaluate an index on one chain",
+        (*_INDEX_FLAGS,
+         ("--links", {"type": str, "help": 'link sequence over {O,M,P}, e.g. "OMPO" '
+                                           '("" is the seed chain)'}),
+         ("--n", {"type": int, "help": "grow a random chain instead"}),
+         _SEED),
+        "json", _flat_table, cmd_compute,
+    ),
+    "analyze": ("closed-form constants and moments", (*_INDEX_FLAGS, _N),
+                "json", _flat_table, cmd_analyze),
+    "distribution": ("exact value distribution", (*_INDEX_FLAGS, _N),
+                     "csv", _rows_table, cmd_distribution),
+    "simulate": (
+        "Monte Carlo study of an index",
+        (*_INDEX_FLAGS, _N, _SEED,
+         ("--reps", {"type": int, "default": 5000}),
+         ("--bins", {"type": int, "default": 40, "help": "histogram bin count"}),
+         ("--standardize", {"action": "store_true",
+                            "help": "center and scale samples by the closed-form "
+                                    "moments (fails with exit code 3 for "
+                                    "deterministic indices)"}),
+         ("--samples-out", {"type": Path,
+                            "help": "write the samples as CSV, one value per line"}),
+         ("--histogram-out", {"type": Path, "help": "write a histogram CSV (bin_left, "
+                                                    "bin_right, count, density)"})),
+        "json", None, cmd_simulate,
+    ),
+    "compare": ("expected values of the five comparison indices", (_N,),
+                "json", _compare_table, cmd_compare),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="spiro",
+        description="Random spiro chains: generation, degree-based topological "
+                    "indices, closed-form laws, and Monte Carlo studies.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags, default_format, to_csv, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in (*flags, *_PROB_FLAGS):
+            p.add_argument(flag, **options)
+        p.add_argument("--out", type=Path, help="output file (default: stdout)")
+        p.add_argument("--format", choices=("json", "csv"), default=default_format,
+                       help=f"output format (default: {default_format})")
+        p.set_defaults(handler=handler, to_csv=to_csv)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.handler(args)
+        _resolve(args)
+        _emit(args, *args.handler(args))
         return EXIT_OK
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except DegenerateVariance as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except SpiroChainError as exc:
+    except (UsageError, SpiroChainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive
