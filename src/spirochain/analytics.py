@@ -9,15 +9,15 @@ the value onto a single binomial count.  That reduction drives everything
 here: moments, the exact distribution, the moment generating function, the
 centered (martingale) transform, and the cross-index comparison.
 
-The increments are computed by evaluating the index on actual small chains,
-not from transcribed per-index formulas; hand-derived constants live in the
-test suite as assertions.  Only p_ortho enters any law: the meta and para
-links add the same increment, so their split never matters.
+The increments are computed by evaluating the index on the closed-form
+degree profiles of the 2- and 3-hexagon chains, not from transcribed
+per-index formulas; hand-derived constants live in the test suite as
+assertions.  Only p_ortho enters any law: the meta and para links add the
+same increment, so their split never matters.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,11 +25,11 @@ from typing import Sequence
 import numpy as np
 
 from .chain import (
-    LinkProbabilities, LinkType, _coerce_probs, grow, initial_chain, require_n,
+    LinkProbabilities, _coerce_probs, allocating, chain_edge_profile, chain_vertex_profile,
+    require_n,
 )
 from .errors import DegenerateVariance, UndefinedBase
-from .graph import MolecularGraph
-from .indices import IndexSpec, evaluate, registry_lookup
+from .indices import IndexKind, IndexSpec, evaluate_from_profile, registry_lookup
 
 # Relative gap between the ortho and meta increments below which an index
 # is treated as deterministic on chains.
@@ -61,17 +61,9 @@ _STIRLERR = np.array([
 _S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
 _LN_2PI = math.log(2.0 * math.pi)
 
-
-@functools.cache
-def _growth_graphs() -> tuple[MolecularGraph, MolecularGraph, MolecularGraph]:
-    """The 2-hexagon seed and the 3-hexagon chains grown from it by an ortho
-    and by a meta link (para attachment yields the same degree profile)."""
-    seed = initial_chain(2)
-    return (
-        seed.graph,
-        grow(seed, LinkType.ORTHO).graph,
-        grow(seed, LinkType.META).graph,
-    )
+# (n, ortho count) of the 2-hexagon seed and of the 3-hexagon chains grown
+# from it by an ortho and by a meta link (para yields the meta profile).
+_GROWTH_CHAINS = ((2, 0), (3, 1), (3, 0))
 
 
 @dataclass(frozen=True)
@@ -109,7 +101,11 @@ def coefficients(spec: IndexSpec, probs: LinkProbabilities) -> ChainCoefficients
     deterministic indices exactly deterministic in floating point.
     Raises UndefinedBase when a constant overflows the double range.
     """
-    ti2, ortho, meta = (evaluate(spec, g) for g in _growth_graphs())
+    if spec.kind is IndexKind.EDGE:
+        profiles = [chain_edge_profile(n, k) for n, k in _GROWTH_CHAINS]
+    else:
+        profiles = [chain_vertex_profile(n) for n, _ in _GROWTH_CHAINS]
+    ti2, ortho, meta = (evaluate_from_profile(spec, p) for p in profiles)
     alpha_ortho = ortho - ti2
     alpha_meta = meta - ti2
     b = alpha_ortho - alpha_meta
@@ -302,9 +298,10 @@ def exact_distribution(
     if c.deterministic or steps == 0:
         atom = c.ti2 + c.alpha_bar * steps
         return DiscreteDistribution(np.array([atom]), np.array([1.0]), None)
-    k = np.arange(steps + 1)
-    values = (c.ti2 + c.alpha_meta * steps) + c.B * k
-    pmf = _binomial_pmf(steps, c.p_ortho)
+    with allocating(n):
+        k = np.arange(steps + 1)
+        values = (c.ti2 + c.alpha_meta * steps) + c.B * k
+        pmf = _binomial_pmf(steps, c.p_ortho)
     if c.B < 0:
         values, pmf, k = values[::-1], pmf[::-1], k[::-1]
     if np.any(values[1:] == values[:-1]):

@@ -9,8 +9,10 @@ vertices adjacent, which is what turns the chain's randomness into a single
 binomial count.
 
 Every ring is listed from its shared vertex, so each shared vertex has a
-closed form in the link offsets.  replay() builds all rings from it at once
-and is the only constructor of chains with two or more hexagons.
+closed form in the link offsets.  One builder computes all rings from it at
+once; replay() and generate() are its only callers, so it constructs every
+chain with two or more hexagons.  The degree profile is closed-form too, in
+n and the ortho count, so a chain answers profile queries from its links.
 
 Reproducibility contract: random growth uses a Philox (4x64, 10 rounds)
 counter-based generator keyed directly by the 64-bit seed, and link types
@@ -21,6 +23,7 @@ splitmix64 and XOR it into the master seed.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
 import math
@@ -31,7 +34,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ChainTooShort, InvalidN, InvalidProbabilities, NTooLarge
-from .graph import MolecularGraph, _EDGE_DTYPE, hexagon
+from .graph import EdgeProfile, MolecularGraph, VertexProfile, _EDGE_DTYPE, hexagon
 
 GENERATOR_ALGORITHM = "philox4x64-10"
 SEED_MIX_ALGORITHM = "splitmix64"
@@ -52,10 +55,12 @@ class LinkType(enum.Enum):
 
 LINK_ORDER = (LinkType.ORTHO, LinkType.META, LinkType.PARA)
 
-# Ring distance from the terminal hexagon's cut vertex to the new shared
-# vertex.  Ortho has two symmetric positions (distance 1 and 5); the graphs
-# are isomorphic, so the clockwise one is used.  Likewise meta (2 and 4).
-_RING_OFFSET = {LinkType.ORTHO: 1, LinkType.META: 2, LinkType.PARA: 3}
+# Index of each link in LINK_ORDER.  The ring distance from the terminal
+# hexagon's cut vertex to the new shared vertex is index + 1.  Ortho has two
+# symmetric positions (distance 1 and 5); the graphs are isomorphic, so the
+# clockwise one is used.  Likewise meta (2 and 4).
+_LINK_INDEX = {link: i for i, link in enumerate(LINK_ORDER)}
+_LINK_CHAR = {link: link.value for link in LINK_ORDER}
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,33 @@ class SpiroChain:
 
     @property
     def ortho_count(self) -> int:
-        return sum(1 for link in self.links if link is LinkType.ORTHO)
+        return self.links.count(LinkType.ORTHO)
+
+    def edge_profile(self) -> EdgeProfile:
+        """Edge counts by endpoint degrees, in closed form from n and the
+        ortho count; equal to graph.edge_profile(self.graph)."""
+        return chain_edge_profile(self.n, self.ortho_count)
+
+    def vertex_profile(self) -> VertexProfile:
+        """Vertex counts by degree, in closed form from n; equal to
+        graph.vertex_profile(self.graph)."""
+        return chain_vertex_profile(self.n)
+
+
+def chain_edge_profile(n: int, ortho_count: int) -> EdgeProfile:
+    """Edge profile of every n-hexagon chain with `ortho_count` ortho links.
+
+    An ortho link makes one (2,2) and one (4,4) edge where a meta or para
+    link makes two (2,4) edges.  n = 1 gives the bare hexagon (6, 0, 0).
+    """
+    k = ortho_count
+    return EdgeProfile(m22=2 * n + 4 + k, m24=4 * (n - 1) - 2 * k, m44=k)
+
+
+def chain_vertex_profile(n: int) -> VertexProfile:
+    """Vertex profile of every n-hexagon chain: its n - 1 shared vertices
+    have degree 4, the other 4n + 2 degree 2."""
+    return VertexProfile(c2=4 * n + 2, c4=n - 1)
 
 
 def _ring_rows(rings: np.ndarray) -> np.ndarray:
@@ -166,20 +197,25 @@ def grow(chain: SpiroChain, link: LinkType) -> SpiroChain:
 
 
 def replay(links: Iterable[LinkType]) -> SpiroChain:
-    """The chain with the given link sequence, all rings built at once.
+    """The chain with the given link sequence, all rings built at once."""
+    links = tuple(links)
+    indexes = np.fromiter(map(_LINK_INDEX.__getitem__, links), _EDGE_DTYPE, len(links))
+    return _build(indexes, links)
+
+
+def _build(indexes: np.ndarray, links: tuple[LinkType, ...]) -> SpiroChain:
+    """The chain whose links are `links`, given also as LINK_ORDER indexes.
 
     Hexagon j (1-based) is the ring (s_j, f_j, ..., f_j + 4) with first new
     id f_j = 5j - 4.  Hexagons 1 and 2 start at s = 0; hexagon j >= 3 starts
-    at s_j = f_{j-1} + offset - 1, offset 1, 2, 3 for O, M, P.  Ids and edge
-    order equal those of attaching one hexagon at a time.
+    at s_j = f_{j-1} + offset - 1 with offset = index + 1 (1, 2, 3 for O, M,
+    P).  Ids and edge order equal those of attaching one hexagon at a time.
     """
-    links = tuple(links)
     n = len(links) + 2
-    offsets = np.fromiter(map(_RING_OFFSET.__getitem__, links), _EDGE_DTYPE, len(links))
     first = 5 * np.arange(1, n + 1, dtype=_EDGE_DTYPE) - 4
     rings = first[:, None] + np.arange(-1, 5, dtype=_EDGE_DTYPE)
     rings[:2, 0] = 0
-    rings[2:, 0] = first[1:-1] + offsets - 1
+    rings[2:, 0] = first[1:-1] + indexes
     return SpiroChain(
         graph=MolecularGraph(5 * n + 1, _ring_rows(rings)),
         n=n,
@@ -195,6 +231,16 @@ def require_n(n, minimum: int = 2, name: str = "n") -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < minimum:
         raise InvalidN(f"{name} must be an integer >= {minimum}, got {n!r}")
     return int(n)
+
+
+@contextlib.contextmanager
+def allocating(n: int, name: str = "n"):
+    """Report numpy's refusal to build an array sized by n (a size
+    ValueError or a MemoryError) as NTooLarge naming n."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise NTooLarge(f"{name}={n} is too large for the arrays it sizes: {exc}") from None
 
 
 def _coerce_probs(probs) -> LinkProbabilities:
@@ -241,8 +287,9 @@ def generate(n: int, probs: LinkProbabilities, seed: int) -> SpiroChain:
     graph, bit for bit.
     """
     steps = require_n(n) - 2
-    indexes = draw_link_indexes(rng_from_seed(seed), steps, probs)
-    return replay(LINK_ORDER[i] for i in indexes)
+    with allocating(n):
+        indexes = draw_link_indexes(rng_from_seed(seed), steps, probs)
+        return _build(indexes, tuple(map(LINK_ORDER.__getitem__, indexes.tolist())))
 
 
 def _enum_cap(max_n: int | None) -> int:
@@ -279,7 +326,7 @@ def enumerate_all(
 
 def links_to_string(links: Iterable[LinkType]) -> str:
     """Serialize a link sequence over the alphabet {O, M, P}."""
-    return "".join(link.value for link in links)
+    return "".join(map(_LINK_CHAR.__getitem__, links))
 
 
 def parse_links(text: str) -> tuple[LinkType, ...]:

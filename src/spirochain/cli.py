@@ -36,8 +36,10 @@ from .chain import (
     require_n,
 )
 from .errors import DegenerateVariance, MissingExponent, SpiroChainError
-from .graph import edge_profile
-from .indices import REGISTRY_NAMES, VARIABLE_EXPONENT_NAMES, evaluate, registry_lookup
+from .indices import (
+    REGISTRY_NAMES, VARIABLE_EXPONENT_NAMES, IndexKind, evaluate_from_profile,
+    registry_lookup,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -160,7 +162,7 @@ def _histogram_csv(samples, bins: int) -> str:
 
 def cmd_generate(args: argparse.Namespace):
     chain = generate(args.n, args.probs, args.seed)
-    profile = edge_profile(chain.graph)
+    profile = chain.edge_profile()
     # One line, as json.dumps writes it, with the long edge list put in from
     # the graph's own numpy writer ("links" holds only O, M and P, so the
     # placeholder is the first match).
@@ -183,11 +185,13 @@ def cmd_compute(args: argparse.Namespace):
             chain = replay(parse_links(args.links))
         except ValueError as exc:
             raise UsageError(f"--links: {exc}") from None
+    edge_kind = args.spec.kind is IndexKind.EDGE
+    profile = chain.edge_profile() if edge_kind else chain.vertex_profile()
     return {
         "index": args.spec.name,
         "n": chain.n,
-        "value": evaluate(args.spec, chain.graph),
-        "m44": edge_profile(chain.graph).m44,
+        "value": evaluate_from_profile(args.spec, profile),
+        "m44": chain.ortho_count,
     }, ()
 
 

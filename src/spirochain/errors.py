@@ -22,7 +22,7 @@ class InvalidProbabilities(SpiroChainError):
 
 
 class NTooLarge(SpiroChainError):
-    """Exhaustive enumeration was requested beyond the configured cap."""
+    """n is beyond the enumeration cap, or too large for the arrays it sizes."""
 
 
 class UndefinedBase(SpiroChainError):

@@ -35,7 +35,8 @@ class MolecularGraph:
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
         edges = np.asarray(self.edges, dtype=_EDGE_DTYPE).reshape(-1, 2)
-        edges = np.sort(edges, axis=1)
+        u, v = edges[:, 0], edges[:, 1]  # column-wise: an axis-1 sort is slower
+        edges = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=-1)
         if edges.size:
             if edges.min() < 0 or edges.max() >= self.vertex_count:
                 raise ValueError("edge endpoint out of range")
@@ -71,9 +72,8 @@ class MolecularGraph:
         """Map sorted endpoint-degree pair -> number of such edges."""
         if not self.edge_count:
             return {}
-        endpoint_degrees = self.degrees[self.edges]
-        lo = endpoint_degrees.min(axis=1)
-        hi = endpoint_degrees.max(axis=1)
+        du, dv = self.degrees[self.edges[:, 0]], self.degrees[self.edges[:, 1]]
+        lo, hi = np.minimum(du, dv), np.maximum(du, dv)
         span = self.vertex_count + 1  # degrees are < vertex_count
         encoded, counts = np.unique(lo * span + hi, return_counts=True)
         return {

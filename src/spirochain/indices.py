@@ -60,12 +60,15 @@ def _power_term(spec: IndexSpec, *degrees: int) -> float:
 
 
 def _weighted_sum(spec: IndexSpec, counts: dict[tuple[int, ...], int]) -> float:
-    """scale * sum of count * term over the degree keys, in sorted key order.
+    """scale * sum of count * term over the degree keys with a nonzero
+    count, in sorted key order.
 
     Raises UndefinedBase when the sum overflows the double range.
     """
     total = spec.scale * sum(
-        count * _power_term(spec, *degrees) for degrees, count in sorted(counts.items())
+        count * _power_term(spec, *degrees)
+        for degrees, count in sorted(counts.items())
+        if count
     )
     if not math.isfinite(total):
         raise UndefinedBase(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .chain import LinkProbabilities, replication_seed, require_n, rng_from_seed
+from .chain import LinkProbabilities, allocating, replication_seed, require_n, rng_from_seed
 from .errors import EmptySample, SampleTooSmall
 from .indices import IndexSpec
 
@@ -88,10 +88,12 @@ def simulate(
     steps = require_n(n) - 2
     reps = require_n(reps, minimum=1, name="reps")
     c = analytics.coefficients(spec, probs)
-    ortho = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        u = rng_from_seed(replication_seed(seed, r)).random(steps)
-        ortho[r] = np.count_nonzero(u < c.p_ortho)
+    with allocating(reps, "reps"):
+        ortho = np.empty(reps, dtype=np.int64)
+    with allocating(n):
+        for r in range(reps):
+            u = rng_from_seed(replication_seed(seed, r)).random(steps)
+            ortho[r] = np.count_nonzero(u < c.p_ortho)
     # ti2 + ... keeps the two-hexagon chain (steps = 0) exactly at ti2.
     values = (c.ti2 + c.alpha_meta * steps) + c.B * ortho
     values.setflags(write=False)
@@ -130,7 +132,9 @@ def histogram(samples, bins: int) -> HistogramData:
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise EmptySample("cannot histogram an empty sample")
-    counts, edges = np.histogram(x, bins=require_n(bins, minimum=1, name="bins"))
+    bins = require_n(bins, minimum=1, name="bins")
+    with allocating(bins, "bins"):
+        counts, edges = np.histogram(x, bins=bins)
     return HistogramData(edges=edges, counts=counts)
 
 
@@ -204,9 +208,10 @@ def martingale_residual_check(
     steps = require_n(n, minimum=3) - 2
     trajectories = require_n(trajectories, minimum=1, name="trajectories")
     c = analytics.coefficients(spec, probs)
-    tally = np.zeros(steps, dtype=np.int64)
-    for block, start in enumerate(range(0, trajectories, _TRAJECTORY_BLOCK)):
-        size = min(_TRAJECTORY_BLOCK, trajectories - start)
-        u = rng_from_seed(replication_seed(seed, block)).random(size * steps)
-        tally += np.count_nonzero(u.reshape(size, steps) < c.p_ortho, axis=0)
+    with allocating(n):
+        tally = np.zeros(steps, dtype=np.int64)
+        for block, start in enumerate(range(0, trajectories, _TRAJECTORY_BLOCK)):
+            size = min(_TRAJECTORY_BLOCK, trajectories - start)
+            u = rng_from_seed(replication_seed(seed, block)).random(size * steps)
+            tally += np.count_nonzero(u.reshape(size, steps) < c.p_ortho, axis=0)
     return float(np.max(np.abs(c.B * (tally / trajectories - c.p_ortho))))

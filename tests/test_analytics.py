@@ -26,12 +26,15 @@ from spirochain import (
     martingale_residual_check,
     martingale_transform,
     mgf,
+    parse_links,
     registry_lookup,
+    replay,
     second_moment,
     simulate,
     standardize,
     variance,
 )
+from spirochain.indices import REGISTRY_NAMES, VARIABLE_EXPONENT_NAMES
 
 UNIFORM = LinkProbabilities.uniform()
 HALF = LinkProbabilities(0.5, 0.25, 0.25)
@@ -60,6 +63,40 @@ def test_known_closed_form_constants():
         assert abs(got.A - a) < 1e-12
         assert abs(got.B - b) < 1e-12
         assert abs(got.C - c) < 1e-12
+
+
+def _graph_increments(spec):
+    seed, ortho, meta = (replay(parse_links(text)).graph for text in ("", "O", "M"))
+    ti2 = evaluate(spec, seed)
+    return ti2, evaluate(spec, ortho) - ti2, evaluate(spec, meta) - ti2
+
+
+_FIXED = [name for name in REGISTRY_NAMES if name not in VARIABLE_EXPONENT_NAMES]
+_ALL_SPECS = {
+    **{name: (name, None) for name in _FIXED},
+    **{f"{name} a={a}": (name, a)
+       for name in VARIABLE_EXPONENT_NAMES for a in (0.5, 1.7, 350, 511, -2)},
+}
+
+
+@pytest.mark.parametrize("name, a", _ALL_SPECS.values(), ids=list(_ALL_SPECS))
+def test_coefficients_equal_graph_evaluation_exactly(name, a):
+    """The closed-form profiles give the increments of the evaluated graphs,
+    bit for bit, and fail where the graphs fail."""
+    spec = registry_lookup(name, a)
+    try:
+        expected = _graph_increments(spec)
+    except UndefinedBase:
+        with pytest.raises(UndefinedBase):
+            coefficients(spec, UNIFORM)
+        return
+    ti2, ortho, meta = expected
+    if math.isfinite(ti2 + ortho * ortho + meta * meta):
+        c = coefficients(spec, UNIFORM)
+        assert (c.ti2, c.alpha_ortho, c.alpha_meta) == expected
+    else:  # beta, the mean square increment, overflows
+        with pytest.raises(UndefinedBase, match="chain constants are not finite"):
+            coefficients(spec, UNIFORM)
 
 
 def test_meta_and_para_increments_coincide_exactly():

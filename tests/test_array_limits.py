@@ -1,0 +1,100 @@
+"""n too large for the arrays it sizes raises NTooLarge, and the CLI exits 2.
+
+At n = 10**400 numpy refuses the array size before allocating anything.  At
+n = 10**12 the arrays would take terabytes; those cases run in a child
+process whose address space is capped at 2 GB, so the allocation fails at
+once and no memory is touched.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import spirochain
+from spirochain import (
+    LinkProbabilities,
+    NTooLarge,
+    exact_distribution,
+    generate,
+    histogram,
+    martingale_residual_check,
+    registry_lookup,
+    simulate,
+)
+from spirochain.cli import main
+
+UNIFORM = LinkProbabilities.uniform()
+RANDIC = registry_lookup("randic")
+HUGE = 10**400
+
+CALLS = {
+    "exact_distribution": lambda n: exact_distribution(RANDIC, n, UNIFORM),
+    "simulate": lambda n: simulate(RANDIC, n, UNIFORM, 2, 0),
+    "martingale_residual_check": lambda n: martingale_residual_check(RANDIC, UNIFORM, n, 2, 0),
+    "generate": lambda n: generate(n, UNIFORM, 0),
+}
+
+
+@pytest.mark.parametrize("call", CALLS.values(), ids=list(CALLS))
+def test_arrays_beyond_numpy_limits_raise_n_too_large(call):
+    with pytest.raises(NTooLarge, match=r"n=1000+ is too large"):
+        call(HUGE)
+
+
+def test_other_counts_too_large_are_named():
+    with pytest.raises(NTooLarge, match=r"reps=1000+ is too large"):
+        simulate(RANDIC, 10, UNIFORM, HUGE, 0)
+    with pytest.raises(NTooLarge, match=r"bins=1000+ is too large"):
+        histogram([0.0, 1.0], HUGE)
+
+
+@pytest.mark.parametrize("argv", [
+    ["distribution", "--index", "randic"],
+    ["simulate", "--index", "randic", "--reps", "2"],
+    ["compute", "--index", "randic"],
+    ["generate"],
+])
+def test_cli_beyond_numpy_limits_exits_2(capsys, argv):
+    code = main([*argv, "--n", str(HUGE)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "is too large" in captured.err
+
+
+CHILD = """
+import resource, sys
+from spirochain.cli import main
+limit = 2 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs resource limits")
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--index", "randic", "--reps", "2"],
+    ["compute", "--index", "randic"],
+    ["distribution", "--index", "randic"],
+])
+def test_cli_beyond_memory_exits_2(argv):
+    src = str(Path(spirochain.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv, "--n", str(10**12)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert "n=1000000000000 is too large" in proc.stderr
+
+
+def test_cli_histogram_beyond_numpy_limits_exits_2(capsys, tmp_path):
+    path = tmp_path / "h.csv"
+    code = main(["simulate", "--index", "randic", "--n", "10", "--reps", "5",
+                 "--bins", str(HUGE), "--histogram-out", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "bins=1000" in captured.err and not path.exists()

@@ -317,3 +317,20 @@ def test_replication_seeds_are_distinct_64_bit():
     seeds = {replication_seed(12345, i) for i in range(1000)}
     assert len(seeds) == 1000
     assert all(0 <= s < 2**64 for s in seeds)
+
+
+def _assert_closed_form_profiles(chain):
+    assert chain.edge_profile() == edge_profile(chain.graph)
+    assert chain.vertex_profile() == vertex_profile(chain.graph)
+
+
+def test_closed_form_profiles_match_the_graph_on_every_short_chain():
+    _assert_closed_form_profiles(initial_chain(1))
+    for n in range(2, 9):
+        for links, _ in enumerate_all(n, UNIFORM):
+            _assert_closed_form_profiles(replay(links))
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 100_000])
+def test_closed_form_profiles_match_the_graph_on_generated_chains(n):
+    _assert_closed_form_profiles(generate(n, LinkProbabilities(0.3, 0.45, 0.25), n))

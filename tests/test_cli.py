@@ -17,7 +17,7 @@ from spirochain import (
     links_to_string,
     registry_lookup,
 )
-from spirochain import cli
+from spirochain import cli, graph
 from spirochain.cli import main
 
 UNIFORM_FLAGS = []
@@ -75,14 +75,14 @@ class _EdgesWithoutTolist(np.ndarray):
 @pytest.mark.parametrize("n", [2, 1000])
 def test_generate_writes_edges_without_python_lists(capsys, monkeypatch, n):
     chain = generate(n, LinkProbabilities(0.3, 0.45, 0.25), 11)
-    graph = chain.graph.to_dict()
+    as_dict = chain.graph.to_dict()
     profile = edge_profile(chain.graph)
     reference = json.dumps(
         {
             "n": n,
             "links": links_to_string(chain.links),
-            "vertices": graph["vertices"],
-            "edges": graph["edges"],
+            "vertices": as_dict["vertices"],
+            "edges": as_dict["edges"],
             "edge_profile": {"m22": profile.m22, "m24": profile.m24, "m44": profile.m44},
             "rng": "philox4x64-10",
             "seed": 11,
@@ -90,8 +90,8 @@ def test_generate_writes_edges_without_python_lists(capsys, monkeypatch, n):
         separators=None,
     ) + "\n"
 
-    def refuse(self):
-        raise AssertionError("generate went through MolecularGraph.to_dict")
+    def refuse(*args):
+        raise AssertionError("generate went through to_dict or the graph's profile")
 
     def guarded_generate(*args):
         chain = generate(*args)
@@ -100,6 +100,9 @@ def test_generate_writes_edges_without_python_lists(capsys, monkeypatch, n):
         return chain
 
     monkeypatch.setattr(MolecularGraph, "to_dict", refuse)
+    # The edge profile comes from the closed form in n and the ortho count.
+    monkeypatch.setattr(graph, "edge_profile", refuse)
+    monkeypatch.setattr(MolecularGraph, "degree_pair_counts", property(refuse))
     monkeypatch.setattr(cli, "generate", guarded_generate)
     code, out, err = run(capsys, "generate", "--n", str(n), "--seed", "11",
                          "--p-ortho", "0.3", "--p-meta", "0.45", "--p-para", "0.25")

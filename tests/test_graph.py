@@ -164,3 +164,18 @@ def test_edges_json_matches_dumps_on_small_and_hand_graphs():
     ids = sorted({0, *(p + d for p in (10**k for k in range(7)) for d in (-1, 0, 1))})
     edges = np.array(list(itertools.combinations(ids, 2))[::-1])
     assert_edges_json_matches_dumps(MolecularGraph(10**6 + 2, edges))
+
+
+def test_reversed_rows_are_stored_low_high():
+    g = generate(50, LinkProbabilities.uniform(), 3).graph
+    flipped = MolecularGraph(g.vertex_count, g.edges[:, ::-1])
+    assert np.array_equal(flipped.edges, g.edges)
+    mixed = MolecularGraph(4, np.array([[1, 0], [2, 3], [3, 1]]))
+    assert mixed.edges.tolist() == [[0, 1], [2, 3], [1, 3]]
+
+
+def test_reversed_duplicates_and_self_loops_are_rejected():
+    with pytest.raises(ValueError, match="duplicate"):
+        MolecularGraph(4, np.array([[3, 1], [2, 0], [1, 3]]))
+    with pytest.raises(ValueError, match="self-loop"):
+        MolecularGraph(4, np.array([[1, 0], [2, 2]]))

@@ -20,6 +20,7 @@ from spirochain import (
     generate,
     hexagon,
     initial_chain,
+    parse_links,
     registry_lookup,
     replay,
     vertex_profile,
@@ -89,6 +90,15 @@ def test_profile_evaluation_agrees_with_graph_evaluation():
             direct = evaluate(spec, g)
             via_profile = evaluate_from_profile(spec, profile)
             assert abs(direct - via_profile) <= 1e-12 * abs(direct)
+
+
+def test_profile_evaluation_skips_absent_degree_pairs():
+    # 8**350 overflows, but an MMM chain has no (4, 4) edge to raise it for.
+    spec = registry_lookup("variable-sum-connectivity", a=350)
+    direct = evaluate(spec, replay(parse_links("MMM")).graph)
+    assert evaluate_from_profile(spec, EdgeProfile(14, 16, 0)) == direct
+    with pytest.raises(UndefinedBase, match="overflows at degrees"):
+        evaluate_from_profile(spec, EdgeProfile(14, 16, 1))
 
 
 def test_vertex_indices_depend_only_on_hexagon_count():
