@@ -52,6 +52,11 @@ class LinkType(enum.Enum):
     META = "M"
     PARA = "P"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality; Enum's own __hash__ is a Python-level call
+    # that every per-link dict lookup would pay.
+    __hash__ = object.__hash__
+
 
 LINK_ORDER = (LinkType.ORTHO, LinkType.META, LinkType.PARA)
 
@@ -159,12 +164,11 @@ def chain_vertex_profile(n: int) -> VertexProfile:
 def _ring_rows(rings: np.ndarray) -> np.ndarray:
     """Edge rows of an (m, 6) array of rings, six per ring in ring order.
 
-    Each row joins a vertex to its successor as (low, high); the closing
-    edge from the last vertex back to the first comes last.
+    Each row joins a vertex to its successor as (vertex, successor); the
+    closing edge from the last vertex back to the first comes last.
+    MolecularGraph puts the rows in (low, high) order.
     """
-    succ = np.roll(rings, -1, axis=1)
-    rows = np.stack([np.minimum(rings, succ), np.maximum(rings, succ)], axis=-1)
-    return rows.reshape(-1, 2)
+    return np.stack([rings, np.roll(rings, -1, axis=1)], axis=-1).reshape(-1, 2)
 
 
 def initial_chain(n: int) -> SpiroChain:
@@ -264,6 +268,32 @@ def splitmix64(value: int) -> int:
 def replication_seed(seed: int, index: int) -> int:
     """Derived seed for replication `index`: seed XOR splitmix64(index)."""
     return (seed & _MASK64) ^ splitmix64(index & _MASK64)
+
+
+def _replication_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """Yield the stream rng_from_seed(replication_seed(seed, r)) for each
+    r in range(count).
+
+    One Philox is built per call and rekeyed for every stream to the state
+    Philox(key=k) starts from: key [k, 0], counter 0, empty buffer.  That
+    skips the OS entropy each constructor gathers only for the key to
+    override it.  The same Generator is yielded every time, so a stream is
+    valid only until the next step.
+    """
+    rng = np.random.Generator(np.random.Philox(key=0))
+    key = np.zeros(2, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for r in range(count):
+        key[0] = replication_seed(seed, r)
+        rng.bit_generator.state = state
+        yield rng
 
 
 def draw_link_indexes(

@@ -49,5 +49,9 @@ class EmptySample(SpiroChainError):
     """A sample statistic was requested on an empty sample."""
 
 
+class NonFiniteSample(SpiroChainError, ValueError):
+    """A sample statistic was requested on a sample holding NaN or infinity."""
+
+
 class SampleTooSmall(SpiroChainError):
     """A diagnostic needs more samples than were provided."""

@@ -2,10 +2,12 @@
 
 Each replication derives its own Philox stream from the master seed
 (seed XOR splitmix64(index)), so results do not depend on how replications
-are scheduled.  An index value is ti2 + alpha_meta * (n-2) + B * k with k
-the ortho count, so a replication only counts its uniforms below p_ortho,
-which is the ortho bucket of generate()'s inverse-CDF draw; no link
-sequence or graph is built.
+are scheduled.  The replications of one call share one Philox, rekeyed to
+each derived seed in turn: a rekey costs a fraction of building a Philox.
+An index value is ti2 + alpha_meta * (n-2) + B * k with k the ortho count,
+so a replication only counts its uniforms below p_ortho, which is the ortho
+bucket of generate()'s inverse-CDF draw; no link sequence or graph is
+built.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .chain import LinkProbabilities, allocating, replication_seed, require_n, rng_from_seed
-from .errors import EmptySample, SampleTooSmall
+from .chain import LinkProbabilities, _replication_streams, allocating, require_n
+from .errors import EmptySample, NonFiniteSample, SampleTooSmall
 from .indices import IndexSpec
 
 _TRAJECTORY_BLOCK = 8192
@@ -43,10 +45,17 @@ class SampleSummary:
     maximum: float
 
 
+def _require_finite(x: np.ndarray, what: str) -> None:
+    """Refuse a sample holding NaN or infinity, which has no statistics."""
+    if not np.isfinite(x).all():
+        raise NonFiniteSample(f"cannot {what} a sample holding NaN or infinity")
+
+
 def summarize(values) -> SampleSummary:
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise EmptySample("cannot summarize an empty sample")
+    _require_finite(x, "summarize")
     mean = float(x.mean())
     centered = x - mean
     m2 = float(np.mean(centered * centered))
@@ -91,9 +100,8 @@ def simulate(
     with allocating(reps, "reps"):
         ortho = np.empty(reps, dtype=np.int64)
     with allocating(n):
-        for r in range(reps):
-            u = rng_from_seed(replication_seed(seed, r)).random(steps)
-            ortho[r] = np.count_nonzero(u < c.p_ortho)
+        for r, rng in enumerate(_replication_streams(seed, reps)):
+            ortho[r] = np.count_nonzero(rng.random(steps) < c.p_ortho)
     # ti2 + ... keeps the two-hexagon chain (steps = 0) exactly at ti2.
     values = (c.ti2 + c.alpha_meta * steps) + c.B * ortho
     values.setflags(write=False)
@@ -132,6 +140,7 @@ def histogram(samples, bins: int) -> HistogramData:
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise EmptySample("cannot histogram an empty sample")
+    _require_finite(x, "histogram")
     bins = require_n(bins, minimum=1, name="bins")
     with allocating(bins, "bins"):
         counts, edges = np.histogram(x, bins=bins)
@@ -160,7 +169,7 @@ def normality_check(samples) -> NormalityReport:
 
     The sample passes when KS < 0.03, |mean| < 0.05, |variance - 1| < 0.05
     and |skewness| < 0.1.  The reference CDF is evaluated through math.erf.
-    Requires at least 100 samples.
+    Requires at least 100 samples, all finite (summarize checks).
     """
     x = np.asarray(samples, dtype=float)
     if x.size < 100:
@@ -208,10 +217,11 @@ def martingale_residual_check(
     steps = require_n(n, minimum=3) - 2
     trajectories = require_n(trajectories, minimum=1, name="trajectories")
     c = analytics.coefficients(spec, probs)
+    starts = range(0, trajectories, _TRAJECTORY_BLOCK)
     with allocating(n):
         tally = np.zeros(steps, dtype=np.int64)
-        for block, start in enumerate(range(0, trajectories, _TRAJECTORY_BLOCK)):
+        for start, rng in zip(starts, _replication_streams(seed, len(starts))):
             size = min(_TRAJECTORY_BLOCK, trajectories - start)
-            u = rng_from_seed(replication_seed(seed, block)).random(size * steps)
+            u = rng.random(size * steps)
             tally += np.count_nonzero(u.reshape(size, steps) < c.p_ortho, axis=0)
     return float(np.max(np.abs(c.B * (tally / trajectories - c.p_ortho))))

@@ -1,6 +1,7 @@
 """Chain growth, seeded generation, replay, and exhaustive enumeration."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -305,6 +306,13 @@ def test_link_string_round_trip():
     assert parse_links("") == ()
     with pytest.raises(ValueError):
         parse_links("OMX")
+
+
+def test_link_types_hash_by_identity():
+    assert LinkType.__hash__ is object.__hash__
+    assert pickle.loads(pickle.dumps(LinkType.ORTHO)) is LinkType.ORTHO
+    lookup = {link: i for i, link in enumerate(LinkType)}
+    assert [lookup[LinkType(ch)] for ch in "OMP"] == [0, 1, 2]
 
 
 def test_splitmix64_reference_vector():

@@ -12,7 +12,9 @@ from spirochain import (
     EmptySample,
     InvalidN,
     LinkProbabilities,
+    NonFiniteSample,
     SampleTooSmall,
+    SpiroChainError,
     coefficients,
     evaluate,
     expected_value,
@@ -22,11 +24,13 @@ from spirochain import (
     normality_check,
     registry_lookup,
     replication_seed,
+    rng_from_seed,
     simulate,
     standardized_sample,
     summarize,
     variance,
 )
+from spirochain.chain import _replication_streams
 
 UNIFORM = LinkProbabilities.uniform()
 HALF = LinkProbabilities(0.5, 0.25, 0.25)
@@ -208,3 +212,111 @@ def test_ortho_counts_follow_the_binomial_law():
     result = simulate(NIRMALA, n, probs, reps, seed=13)
     statistic, dof = binomial_chi_square(result.ortho_counts, n - 2, probs.p_ortho)
     assert statistic < scipy.stats.chi2.ppf(0.999, dof)
+
+
+EDGE_SEEDS = (0, 2**63, 2**64 - 1, -1, 2**64 + 5)
+
+
+def _same_state(a, b):
+    """Bit-generator states equal key by key, arrays element by element."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+def test_replication_streams_equal_freshly_keyed_philox():
+    """Rekeyed stream r is rng_from_seed(replication_seed(seed, r)) in full
+    state and draws, whatever the previous stream left in the buffer."""
+    seeds = EDGE_SEEDS + tuple(
+        int(s) for s in np.random.default_rng(99).integers(0, 2**63, size=5)
+    )
+    pairs = 0
+    for seed in seeds:
+        for r, rng in enumerate(_replication_streams(seed, 110)):
+            fresh = rng_from_seed(replication_seed(seed, r))
+            assert _same_state(rng.bit_generator.state, fresh.bit_generator.state)
+            assert np.array_equal(rng.random(37), fresh.random(37))
+            # Leave a part-used buffer and a pending 32-bit half behind.
+            assert rng.integers(2**32, dtype=np.uint32) == fresh.integers(
+                2**32, dtype=np.uint32
+            )
+            assert rng.bit_generator.state["has_uint32"] == 1
+            pairs += 1
+    assert pairs >= 1000
+
+
+@pytest.mark.parametrize("n", [2, 3, 60])
+@pytest.mark.parametrize(
+    "probs",
+    [UNIFORM, LinkProbabilities(0, 0.5, 0.5), LinkProbabilities(1, 0, 0)],
+    ids=["uniform", "no-ortho", "all-ortho"],
+)
+def test_every_replication_counts_its_generated_chain(n, probs):
+    seed = 2**64 - 3 * n
+    result = simulate(NIRMALA, n, probs, 300, seed)
+    expected = [
+        generate(n, probs, replication_seed(seed, r)).ortho_count for r in range(300)
+    ]
+    assert result.ortho_counts.tolist() == expected
+
+
+def _reference_residual(spec, probs, n, trajectories, seed):
+    """martingale_residual_check with one freshly keyed Philox per block."""
+    c = coefficients(spec, probs)
+    tally = np.zeros(n - 2, dtype=np.int64)
+    for block, start in enumerate(range(0, trajectories, 8192)):
+        size = min(8192, trajectories - start)
+        u = rng_from_seed(replication_seed(seed, block)).random((size, n - 2))
+        tally += np.count_nonzero(u < c.p_ortho, axis=0)
+    return float(np.max(np.abs(c.B * (tally / trajectories - c.p_ortho))))
+
+
+@pytest.mark.parametrize("trajectories", [1, 8192, 8193, 20000])
+def test_martingale_residuals_equal_the_per_block_reference(trajectories):
+    for seed in (5, 2**64 - 1):
+        expected = _reference_residual(ZAGREB2, UNIFORM, 30, trajectories, seed)
+        assert martingale_residual_check(ZAGREB2, UNIFORM, 30, trajectories, seed) == expected
+
+
+def test_monte_carlo_builds_one_philox_per_call(monkeypatch):
+    real = np.random.Philox
+    built = []
+
+    def counting_philox(*args, **kwargs):
+        built.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    rng_from_seed(1)
+    assert len(built) == 1  # the count sees every construction
+    built.clear()
+    simulate(NIRMALA, 40, UNIFORM, 50, seed=3)
+    assert len(built) <= 1
+    built.clear()
+    martingale_residual_check(ZAGREB2, UNIFORM, 10, 2 * 8192 + 1, seed=3)
+    assert len(built) <= 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: summarize([1.0, math.inf]),
+        lambda: summarize([math.nan]),
+        lambda: histogram([1.0, math.nan], 3),
+        lambda: histogram([-math.inf, 0.0], 3),
+        lambda: normality_check(np.r_[np.zeros(199), math.nan]),
+        lambda: normality_check(np.r_[np.ones(150), -math.inf]),
+    ],
+    ids=["summarize-inf", "summarize-nan", "histogram-nan", "histogram-inf",
+         "normality-nan", "normality-inf"],
+)
+def test_non_finite_samples_are_refused(call):
+    with pytest.raises(NonFiniteSample, match="NaN or infinity"):
+        call()
+
+
+def test_non_finite_sample_is_a_value_error():
+    assert issubclass(NonFiniteSample, SpiroChainError)
+    assert issubclass(NonFiniteSample, ValueError)
