@@ -109,27 +109,29 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _emit(args: argparse.Namespace, payload, files) -> None:
     """Write each (path, flag, render) file whose path was given, then the
-    payload (a dict, or JSON text) in the chosen format to --out or stdout.
-    All texts are rendered before the first write, and a failed write removes
-    the files already written, so a usage error leaves no partial output."""
-    if isinstance(payload, str):
-        text = payload + "\n"
-    elif args.format == "json":
-        text = _json_text(payload) + "\n"
-    else:
-        text = _csv_text(*args.to_csv(payload))
-    outputs = [(path, flag, render()) for path, flag, render in files if path is not None]
+    payload (a dict, or JSON as a list of byte chunks) in the chosen format
+    to --out or stdout.  All outputs are rendered before the first write,
+    and a failed write removes the regular files already written, so a
+    usage error leaves no partial output."""
+    if isinstance(payload, dict):
+        text = (_json_text(payload) + "\n" if args.format == "json"
+                else _csv_text(*args.to_csv(payload)))
+        payload = [text.encode()]
+    outputs = [(path, flag, [render().encode()])
+               for path, flag, render in files if path is not None]
     if args.out is not None:
-        outputs.append((args.out, "--out", text))
-    for i, (path, flag, body) in enumerate(outputs):
+        outputs.append((args.out, "--out", payload))
+    for i, (path, flag, chunks) in enumerate(outputs):
         try:
-            path.write_text(body)
+            with path.open("wb") as stream:
+                stream.writelines(chunks)
         except OSError as exc:
             for written, _, _ in outputs[:i]:
-                written.unlink(missing_ok=True)
+                if written.is_file():  # never a device such as /dev/null
+                    written.unlink()
             raise UsageError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from None
     if args.out is None:
-        print(text, end="")
+        sys.stdout.write(b"".join(payload).decode())
 
 
 def _flat_table(payload: dict) -> tuple[list[str], list[list]]:
@@ -163,16 +165,17 @@ def _histogram_csv(samples, bins: int) -> str:
 def cmd_generate(args: argparse.Namespace):
     chain = generate(args.n, args.probs, args.seed)
     profile = chain.edge_profile()
-    # One line, as json.dumps writes it, with the long edge list put in from
-    # the graph's own numpy writer ("links" holds only O, M and P, so the
-    # placeholder is the first match).
-    text = _json_text({
+    # One line, as json.dumps writes it, with the long edge list put in as
+    # the byte blocks of the graph's own numpy writer ("links" holds only O,
+    # M and P, so the placeholder is the first match).
+    head, _, tail = _json_text({
         "n": chain.n, "links": links_to_string(chain.links),
         "vertices": chain.graph.vertex_count, "edges": 0,
         "edge_profile": {"m22": profile.m22, "m24": profile.m24, "m44": profile.m44},
         "rng": GENERATOR_ALGORITHM, "seed": args.seed,
-    }, indent=None)
-    return text.replace('"edges": 0', f'"edges": {chain.graph.edges_json()}', 1), ()
+    }, indent=None).partition('"edges": 0')
+    return [f'{head}"edges": '.encode(), *chain.graph._edges_json_blocks(),
+            f"{tail}\n".encode()], ()
 
 
 def cmd_compute(args: argparse.Namespace):

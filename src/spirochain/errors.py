@@ -50,7 +50,8 @@ class EmptySample(SpiroChainError):
 
 
 class NonFiniteSample(SpiroChainError, ValueError):
-    """A sample statistic was requested on a sample holding NaN or infinity."""
+    """A sample statistic was requested on a sample holding NaN or infinity,
+    or on one whose moments or range overflow float64."""
 
 
 class SampleTooSmall(SpiroChainError):

@@ -9,6 +9,7 @@ closed-form layer both work from them.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,6 +18,10 @@ import numpy as np
 from .errors import UnsupportedDegree
 
 _EDGE_DTYPE = np.int64
+
+# Rows per block of the JSON edge writer: a block's arrays (~1 MB at
+# six-digit ids) stay in L2 through its digit passes.
+_BLOCK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +69,8 @@ class MolecularGraph:
     @cached_property
     def degree_counts(self) -> dict[int, int]:
         """Map degree -> number of vertices with that degree."""
-        values, counts = np.unique(self.degrees, return_counts=True)
-        return {int(d): int(c) for d, c in zip(values, counts)}
+        counts = np.bincount(self.degrees).tolist()
+        return {d: c for d, c in enumerate(counts) if c}
 
     @cached_property
     def degree_pair_counts(self) -> dict[tuple[int, int], int]:
@@ -102,38 +107,48 @@ class MolecularGraph:
         }
 
     def edges_json(self) -> str:
-        """The edge list as JSON text, equal to json.dumps(self.edges.tolist()).
+        """The edge list as JSON text, equal to json.dumps(self.edges.tolist())."""
+        return b"".join(self._edges_json_blocks()).decode("ascii")
 
-        Built in numpy, with no Python object per edge: every row is laid
-        out as "[u, v], " in a fixed-width byte table, each id right-aligned
-        in d columns (d digits of the largest id) behind zero bytes, and
-        deleting the zero bytes leaves the JSON text.
+    def _edges_json_blocks(self) -> Iterator[bytes]:
+        """The edge list's JSON text as ASCII byte chunks, in order.
+
+        Built in numpy, with no Python object per edge, over blocks of at
+        most _BLOCK_ROWS rows, so that every pass over a block stays in
+        cache.  Every row is laid out as "[u, v], " in one fixed-width byte
+        table reused by all blocks, each id right-aligned in d columns (d
+        digits of the largest id) behind zero bytes; deleting the zero bytes
+        leaves the JSON text of the block.
         """
         count = self.edge_count
         if not count:
-            return "[]"
+            yield b"[]"
+            return
         top = int(self.edges.max())
         d = len(str(top))
         layout = np.frombuffer(b"[" + bytes(d) + b", " + bytes(d) + b"], ", np.uint8)
-        text = np.zeros(count * layout.size + 2, dtype=np.uint8)
-        text[0], text[-1] = ord("["), ord("]")
-        rows = text[1:-1].reshape(count, layout.size)
-        for column in np.flatnonzero(layout):
-            rows[:, column] = layout[column]
-        rows[-1, -2:] = 0  # no ", " after the last row
-        value = self.edges.astype(np.min_scalar_type(top))
-        rest = np.empty_like(value)
-        digit = np.empty(value.shape, dtype=np.uint8)
-        for k in range(d):  # k-th digit from the right of u and of v
-            np.floor_divide(value, 10, out=rest)
-            np.subtract(value, rest * 10, out=digit, casting="unsafe")
-            digit += ord("0")
-            if k:
-                digit *= value != 0  # a leading zero stays a zero byte
-            rows[:, d - k] = digit[:, 0]
-            rows[:, 2 * d + 2 - k] = digit[:, 1]
-            value, rest = rest, value
-        return text.tobytes().replace(b"\0", b"").decode("ascii")
+        table = np.empty((min(count, _BLOCK_ROWS), layout.size), dtype=np.uint8)
+        table[:] = layout  # every block rewrites all digit columns
+        dtype = np.min_scalar_type(top)
+        yield b"["
+        for start in range(0, count, _BLOCK_ROWS):
+            value = self.edges[start:start + _BLOCK_ROWS].astype(dtype)
+            rows = table[: len(value)]
+            rest = np.empty_like(value)
+            digit = np.empty(value.shape, dtype=np.uint8)
+            for k in range(d):  # k-th digit from the right of u and of v
+                np.floor_divide(value, 10, out=rest)
+                np.subtract(value, rest * 10, out=digit, casting="unsafe")
+                digit += ord("0")
+                if k:
+                    digit *= value != 0  # a leading zero stays a zero byte
+                rows[:, d - k] = digit[:, 0]
+                rows[:, 2 * d + 2 - k] = digit[:, 1]
+                value, rest = rest, value
+            if start + len(rows) == count:
+                rows[-1, -2:] = 0  # no ", " after the last row
+            yield rows.tobytes().replace(b"\0", b"")
+        yield b"]"
 
 
 @dataclass(frozen=True)

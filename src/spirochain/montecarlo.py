@@ -12,6 +12,7 @@ built.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -45,35 +46,44 @@ class SampleSummary:
     maximum: float
 
 
-def _require_finite(x: np.ndarray, what: str) -> None:
-    """Refuse a sample holding NaN or infinity, which has no statistics."""
+@contextlib.contextmanager
+def _finite_statistics(x: np.ndarray, what: str):
+    """Refuse a sample holding NaN or infinity, which has no statistics, and
+    one whose statistics overflow float64 inside the block."""
     if not np.isfinite(x).all():
         raise NonFiniteSample(f"cannot {what} a sample holding NaN or infinity")
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise NonFiniteSample(
+            f"cannot {what} this sample: its moments or range overflow float64"
+        ) from None
 
 
 def summarize(values) -> SampleSummary:
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise EmptySample("cannot summarize an empty sample")
-    _require_finite(x, "summarize")
-    mean = float(x.mean())
-    centered = x - mean
-    m2 = float(np.mean(centered * centered))
-    if m2 > 0:
-        skewness = float(np.mean(centered**3)) / m2**1.5
-        excess_kurtosis = float(np.mean(centered**4)) / (m2 * m2) - 3.0
-    else:
-        skewness = 0.0
-        excess_kurtosis = 0.0
-    return SampleSummary(
-        count=int(x.size),
-        mean=mean,
-        variance=float(x.var(ddof=1)) if x.size > 1 else 0.0,
-        skewness=skewness,
-        excess_kurtosis=excess_kurtosis,
-        minimum=float(x.min()),
-        maximum=float(x.max()),
-    )
+    with _finite_statistics(x, "summarize"):
+        mean = float(x.mean())
+        centered = x - mean
+        m2 = float(np.mean(centered * centered))
+        if m2 > 0:
+            skewness = float(np.mean(centered**3)) / m2**1.5
+            excess_kurtosis = float(np.mean(centered**4)) / (m2 * m2) - 3.0
+        else:
+            skewness = 0.0
+            excess_kurtosis = 0.0
+        return SampleSummary(
+            count=int(x.size),
+            mean=mean,
+            variance=float(x.var(ddof=1)) if x.size > 1 else 0.0,
+            skewness=skewness,
+            excess_kurtosis=excess_kurtosis,
+            minimum=float(x.min()),
+            maximum=float(x.max()),
+        )
 
 
 @dataclass(frozen=True)
@@ -140,10 +150,10 @@ def histogram(samples, bins: int) -> HistogramData:
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise EmptySample("cannot histogram an empty sample")
-    _require_finite(x, "histogram")
-    bins = require_n(bins, minimum=1, name="bins")
-    with allocating(bins, "bins"):
-        counts, edges = np.histogram(x, bins=bins)
+    with _finite_statistics(x, "histogram"):
+        bins = require_n(bins, minimum=1, name="bins")
+        with allocating(bins, "bins"):
+            counts, edges = np.histogram(x, bins=bins)
     return HistogramData(edges=edges, counts=counts)
 
 
@@ -169,7 +179,8 @@ def normality_check(samples) -> NormalityReport:
 
     The sample passes when KS < 0.03, |mean| < 0.05, |variance - 1| < 0.05
     and |skewness| < 0.1.  The reference CDF is evaluated through math.erf.
-    Requires at least 100 samples, all finite (summarize checks).
+    Requires at least 100 samples, all finite, whose moments fit in
+    float64 (summarize checks).
     """
     x = np.asarray(samples, dtype=float)
     if x.size < 100:

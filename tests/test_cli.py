@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spirochain
 from spirochain import (
     LinkProbabilities,
     MolecularGraph,
@@ -72,23 +77,28 @@ class _EdgesWithoutTolist(np.ndarray):
         raise AssertionError("the edge list went through ndarray.tolist")
 
 
-@pytest.mark.parametrize("n", [2, 1000])
-def test_generate_writes_edges_without_python_lists(capsys, monkeypatch, n):
-    chain = generate(n, LinkProbabilities(0.3, 0.45, 0.25), 11)
+def generate_document(chain, seed):
+    """`spiro generate` output built from to_dict() and json.dumps."""
     as_dict = chain.graph.to_dict()
     profile = edge_profile(chain.graph)
-    reference = json.dumps(
+    return json.dumps(
         {
-            "n": n,
+            "n": chain.n,
             "links": links_to_string(chain.links),
             "vertices": as_dict["vertices"],
             "edges": as_dict["edges"],
             "edge_profile": {"m22": profile.m22, "m24": profile.m24, "m44": profile.m44},
             "rng": "philox4x64-10",
-            "seed": 11,
+            "seed": seed,
         },
         separators=None,
     ) + "\n"
+
+
+@pytest.mark.parametrize("n", [2, 1000])
+def test_generate_writes_edges_without_python_lists(capsys, monkeypatch, n):
+    chain = generate(n, LinkProbabilities(0.3, 0.45, 0.25), 11)
+    reference = generate_document(chain, 11)
 
     def refuse(*args):
         raise AssertionError("generate went through to_dict or the graph's profile")
@@ -349,6 +359,17 @@ def test_simulate_failed_write_leaves_no_partial_artifacts(capsys, tmp_path):
     assert not samples.exists()
 
 
+def test_failed_write_removes_no_device_written_before(capsys, monkeypatch):
+    removed = []
+    monkeypatch.setattr(Path, "unlink", lambda path, **_: removed.append(str(path)))
+    code, _, err = run(
+        capsys, "simulate", "--index", "nirmala", "--n", "100", "--reps", "50",
+        "--samples-out", os.devnull, "--histogram-out", "/nonexistent/h.csv",
+    )
+    assert code == 2 and "--histogram-out" in err
+    assert removed == []
+
+
 @pytest.mark.parametrize("flag", ["--out", "--samples-out", "--histogram-out"])
 def test_unwritable_output_path_exits_2(capsys, tmp_path, flag):
     target = tmp_path / "missing" / "file.csv"
@@ -357,4 +378,34 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, flag):
         flag, str(target),
     )
     assert code == 2 and flag in err
+    assert not target.parent.exists()
+
+
+def spiro(*argv):
+    """Run the `spiro` console entry point in a fresh interpreter."""
+    src = str(Path(spirochain.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", "from spirochain.cli import entry; entry()", *argv],
+        capture_output=True, env=env, timeout=120,
+    )
+
+
+def test_generate_stdout_and_out_file_are_the_same_bytes(tmp_path):
+    chain = generate(10_000, LinkProbabilities.uniform(), 3)
+    assert chain.graph.edge_count > graph._BLOCK_ROWS  # more than one edge block
+    target = tmp_path / "g.json"
+    printed = spiro("generate", "--n", "10000", "--seed", "3")
+    written = spiro("generate", "--n", "10000", "--seed", "3", "--out", str(target))
+    assert (printed.returncode, printed.stderr) == (0, b""), printed.stderr
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert printed.stdout == target.read_bytes() == generate_document(chain, 3).encode()
+
+
+def test_generate_unwritable_out_exits_2_and_leaves_no_file(tmp_path):
+    target = tmp_path / "missing" / "g.json"
+    proc = spiro("generate", "--n", "10000", "--seed", "3", "--out", str(target))
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert b"--out: cannot write" in proc.stderr
     assert not target.parent.exists()

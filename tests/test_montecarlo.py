@@ -317,6 +317,20 @@ def test_non_finite_samples_are_refused(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: summarize([-1e308, 1e308]),
+        lambda: histogram([-1e308, 1e308], 3),
+        lambda: normality_check([-1e308, 1e308] * 60),
+    ],
+    ids=["summarize", "histogram", "normality"],
+)
+def test_samples_whose_statistics_overflow_are_refused(call):
+    with pytest.raises(NonFiniteSample, match="overflow float64"):
+        call()
+
+
 def test_non_finite_sample_is_a_value_error():
     assert issubclass(NonFiniteSample, SpiroChainError)
     assert issubclass(NonFiniteSample, ValueError)
