@@ -8,11 +8,12 @@ previous shared vertex.  Ortho is the only choice that makes two degree-4
 vertices adjacent, which is what turns the chain's randomness into a single
 binomial count.
 
-Every ring is listed from its shared vertex, so each shared vertex has a
-closed form in the link offsets.  One builder computes all rings from it at
-once; replay() and generate() are its only callers, so it constructs every
-chain with two or more hexagons.  The degree profile is closed-form too, in
-n and the ortho count, so a chain answers profile queries from its links.
+A SpiroChain holds only n and its link codes, one byte per link over
+b"OMP"; everything else derives from them.  Every ring is listed from its
+shared vertex, so each shared vertex has a closed form in the link offsets,
+and one cached builder computes all rings at once.  The graph is built from
+those rings on first use.  The degree profile is closed-form too, in n and
+the ortho count, so a chain answers profile queries without a graph.
 
 Reproducibility contract: random growth uses a Philox (4x64, 10 rounds)
 counter-based generator keyed directly by the 64-bit seed, and link types
@@ -29,12 +30,13 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ChainTooShort, InvalidN, InvalidProbabilities, NTooLarge
-from .graph import EdgeProfile, MolecularGraph, VertexProfile, _EDGE_DTYPE, hexagon
+from .graph import EdgeProfile, MolecularGraph, VertexProfile, _EDGE_DTYPE
 
 GENERATOR_ALGORITHM = "philox4x64-10"
 SEED_MIX_ALGORITHM = "splitmix64"
@@ -60,12 +62,15 @@ class LinkType(enum.Enum):
 
 LINK_ORDER = (LinkType.ORTHO, LinkType.META, LinkType.PARA)
 
-# Index of each link in LINK_ORDER.  The ring distance from the terminal
-# hexagon's cut vertex to the new shared vertex is index + 1.  Ortho has two
-# symmetric positions (distance 1 and 5); the graphs are isomorphic, so the
-# clockwise one is used.  Likewise meta (2 and 4).
-_LINK_INDEX = {link: i for i, link in enumerate(LINK_ORDER)}
-_LINK_CHAR = {link: link.value for link in LINK_ORDER}
+# Link codes in LINK_ORDER.  A new shared vertex sits at ring distance
+# index + 1 from the terminal cut vertex; of the isomorphic ortho (1, 5) and
+# meta (2, 4) positions, the clockwise one is used.
+_CODES = b"OMP"
+_CODE_TO_INDEX = bytes.maketrans(_CODES, b"\0\1\2")
+_INDEX_TO_CODE = bytes.maketrans(b"\0\1\2", _CODES)
+
+# Column pairs of a ring's six edges: (0, 1), (1, 2), ..., (5, 0).
+_RING_EDGES = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0])
 
 
 @dataclass(frozen=True)
@@ -100,39 +105,71 @@ class LinkProbabilities:
         rest = (1 - p_ortho) / 2
         return cls(p_ortho, rest, rest)
 
-    def for_link(self, link: LinkType):
-        return dict(zip(LINK_ORDER, self.as_tuple()))[link]
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p_ortho, self.p_meta, self.p_para)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpiroChain:
-    """A molecular graph plus the chain bookkeeping needed to keep growing.
+    """An n-hexagon chain held as its link codes, one byte per link over
+    b"OMP"; its rings and its graph are built on first use.
 
     terminal_hexagon lists the newest hexagon's vertex ids in ring order;
     terminal_cut_vertex is the vertex it shares with its predecessor (None
     only for the single-hexagon chain).
     """
 
-    graph: MolecularGraph
     n: int
-    links: tuple[LinkType, ...]
-    terminal_cut_vertex: int | None
-    terminal_hexagon: tuple[int, ...]
+    codes: bytes
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidN(f"a chain needs at least one hexagon, got n={self.n}")
-        if len(self.links) != max(self.n - 2, 0):
+        if len(self.codes) != max(self.n - 2, 0):
             raise ValueError(
-                f"n={self.n} requires {max(self.n - 2, 0)} links, got {len(self.links)}"
+                f"n={self.n} requires {max(self.n - 2, 0)} links, got {len(self.codes)}"
             )
+        if self.codes.translate(None, _CODES):
+            raise _invalid_links(self.codes.decode(errors="replace"), "OMP")
 
     @property
     def ortho_count(self) -> int:
-        return self.links.count(LinkType.ORTHO)
+        return self.codes.count(b"O")
+
+    @cached_property
+    def links(self) -> tuple[LinkType, ...]:
+        return tuple(map(LINK_ORDER.__getitem__, self.codes.translate(_CODE_TO_INDEX)))
+
+    @cached_property
+    def _rings(self) -> np.ndarray:
+        """Row j - 1 is hexagon j, the ring (s_j, f_j, ..., f_j + 4) with
+        first new id f_j = 5j - 4.  Hexagons 1 and 2 start at s = 0 (for
+        n = 1 the ring is 0..5); hexagon j >= 3 at s_j = f_{j-1} + the
+        LINK_ORDER index of link j - 2.  Ids equal those of attaching one
+        hexagon at a time."""
+        with allocating(self.n):
+            first = 5 * np.arange(1, self.n + 1, dtype=_EDGE_DTYPE) - 4
+            rings = first[:, None] + np.arange(-1, 5, dtype=_EDGE_DTYPE)
+            rings[:2, 0] = 0
+            indexes = np.frombuffer(self.codes.translate(_CODE_TO_INDEX), np.uint8)
+            rings[2:, 0] = first[1:-1] + indexes
+        return rings
+
+    @cached_property
+    def graph(self) -> MolecularGraph:
+        """Six edge rows per ring, each (vertex, successor) in ring order
+        with the closing edge last; MolecularGraph orders them (low, high)."""
+        with allocating(self.n):
+            rows = self._rings.take(_RING_EDGES, axis=1).reshape(-1, 2)
+            return MolecularGraph(5 * self.n + 1, rows)
+
+    @property
+    def terminal_cut_vertex(self) -> int | None:
+        return int(self._rings[-1, 0]) if self.n > 1 else None
+
+    @property
+    def terminal_hexagon(self) -> tuple[int, ...]:
+        return tuple(self._rings[-1].tolist())
 
     def edge_profile(self) -> EdgeProfile:
         """Edge counts by endpoint degrees, in closed form from n and the
@@ -161,29 +198,11 @@ def chain_vertex_profile(n: int) -> VertexProfile:
     return VertexProfile(c2=4 * n + 2, c4=n - 1)
 
 
-def _ring_rows(rings: np.ndarray) -> np.ndarray:
-    """Edge rows of an (m, 6) array of rings, six per ring in ring order.
-
-    Each row joins a vertex to its successor as (vertex, successor); the
-    closing edge from the last vertex back to the first comes last.
-    MolecularGraph puts the rows in (low, high) order.
-    """
-    return np.stack([rings, np.roll(rings, -1, axis=1)], axis=-1).reshape(-1, 2)
-
-
 def initial_chain(n: int) -> SpiroChain:
     """The one- or two-hexagon chain every longer chain starts from."""
     if n not in (1, 2):
         raise InvalidN(f"initial chains have 1 or 2 hexagons, got n={n!r}")
-    if n == 2:
-        return replay(())
-    return SpiroChain(
-        graph=hexagon(),
-        n=1,
-        links=(),
-        terminal_cut_vertex=None,
-        terminal_hexagon=tuple(range(6)),
-    )
+    return SpiroChain(n, b"")
 
 
 def grow(chain: SpiroChain, link: LinkType) -> SpiroChain:
@@ -200,33 +219,11 @@ def grow(chain: SpiroChain, link: LinkType) -> SpiroChain:
     return replay(chain.links + (link,))
 
 
-def replay(links: Iterable[LinkType]) -> SpiroChain:
-    """The chain with the given link sequence, all rings built at once."""
-    links = tuple(links)
-    indexes = np.fromiter(map(_LINK_INDEX.__getitem__, links), _EDGE_DTYPE, len(links))
-    return _build(indexes, links)
-
-
-def _build(indexes: np.ndarray, links: tuple[LinkType, ...]) -> SpiroChain:
-    """The chain whose links are `links`, given also as LINK_ORDER indexes.
-
-    Hexagon j (1-based) is the ring (s_j, f_j, ..., f_j + 4) with first new
-    id f_j = 5j - 4.  Hexagons 1 and 2 start at s = 0; hexagon j >= 3 starts
-    at s_j = f_{j-1} + offset - 1 with offset = index + 1 (1, 2, 3 for O, M,
-    P).  Ids and edge order equal those of attaching one hexagon at a time.
-    """
-    n = len(links) + 2
-    first = 5 * np.arange(1, n + 1, dtype=_EDGE_DTYPE) - 4
-    rings = first[:, None] + np.arange(-1, 5, dtype=_EDGE_DTYPE)
-    rings[:2, 0] = 0
-    rings[2:, 0] = first[1:-1] + indexes
-    return SpiroChain(
-        graph=MolecularGraph(5 * n + 1, _ring_rows(rings)),
-        n=n,
-        links=links,
-        terminal_cut_vertex=int(rings[-1, 0]),
-        terminal_hexagon=tuple(rings[-1].tolist()),
-    )
+def replay(links: str | Iterable[LinkType]) -> SpiroChain:
+    """The chain with the given links: a string over {O, M, P} such as
+    "OMPO", or LinkType members.  Any other entry raises ValueError."""
+    codes = (links if isinstance(links, str) else links_to_string(links)).encode()
+    return SpiroChain(len(codes) + 2, codes)
 
 
 def require_n(n, minimum: int = 2, name: str = "n") -> int:
@@ -319,7 +316,7 @@ def generate(n: int, probs: LinkProbabilities, seed: int) -> SpiroChain:
     steps = require_n(n) - 2
     with allocating(n):
         indexes = draw_link_indexes(rng_from_seed(seed), steps, probs)
-        return _build(indexes, tuple(map(LINK_ORDER.__getitem__, indexes.tolist())))
+        return SpiroChain(steps + 2, np.frombuffer(_CODES, np.uint8)[indexes].tobytes())
 
 
 def _enum_cap(max_n: int | None) -> int:
@@ -356,15 +353,19 @@ def enumerate_all(
 
 def links_to_string(links: Iterable[LinkType]) -> str:
     """Serialize a link sequence over the alphabet {O, M, P}."""
-    return "".join(map(_LINK_CHAR.__getitem__, links))
+    links = tuple(links)
+    try:
+        return bytes(map(LINK_ORDER.index, links)).translate(_INDEX_TO_CODE).decode()
+    except ValueError:
+        raise _invalid_links(links, LINK_ORDER) from None
 
 
 def parse_links(text: str) -> tuple[LinkType, ...]:
     """Parse a link string such as "OMPO"; inverse of links_to_string."""
-    try:
-        return tuple(LinkType(ch) for ch in text)
-    except ValueError:
-        bad = next(ch for ch in text if ch not in "OMP")
-        raise ValueError(
-            f"link string may only contain O, M, P; got {bad!r} in {text!r}"
-        ) from None
+    return replay(text).links
+
+
+def _invalid_links(links, alphabet) -> ValueError:
+    """The error naming the first entry of `links` outside `alphabet`."""
+    bad = next(link for link in links if link not in alphabet)
+    return ValueError(f"link string may only contain O, M, P; got {bad!r} in {links!r}")

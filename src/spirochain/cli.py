@@ -30,8 +30,6 @@ from .chain import (
     SEED_MIX_ALGORITHM,
     LinkProbabilities,
     generate,
-    links_to_string,
-    parse_links,
     replay,
     require_n,
 )
@@ -169,7 +167,7 @@ def cmd_generate(args: argparse.Namespace):
     # the byte blocks of the graph's own numpy writer ("links" holds only O,
     # M and P, so the placeholder is the first match).
     head, _, tail = _json_text({
-        "n": chain.n, "links": links_to_string(chain.links),
+        "n": chain.n, "links": chain.codes.decode(),
         "vertices": chain.graph.vertex_count, "edges": 0,
         "edge_profile": {"m22": profile.m22, "m24": profile.m24, "m44": profile.m44},
         "rng": GENERATOR_ALGORITHM, "seed": args.seed,
@@ -185,7 +183,7 @@ def cmd_compute(args: argparse.Namespace):
         chain = generate(args.n, args.probs, args.seed)
     else:
         try:
-            chain = replay(parse_links(args.links))
+            chain = replay(args.links)
         except ValueError as exc:
             raise UsageError(f"--links: {exc}") from None
     edge_kind = args.spec.kind is IndexKind.EDGE

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytics
 from .chain import LinkProbabilities, _replication_streams, allocating, require_n
-from .errors import EmptySample, NonFiniteSample, SampleTooSmall
+from .errors import EmptySample, NonFiniteSample, NTooLarge, SampleTooSmall
 from .indices import IndexSpec
 
 _TRAJECTORY_BLOCK = 8192
@@ -68,10 +68,14 @@ def summarize(values) -> SampleSummary:
     with _finite_statistics(x, "summarize"):
         mean = float(x.mean())
         centered = x - mean
-        m2 = float(np.mean(centered * centered))
-        if m2 > 0:
-            skewness = float(np.mean(centered**3)) / m2**1.5
-            excess_kurtosis = float(np.mean(centered**4)) / (m2 * m2) - 3.0
+        spread = float(np.max(np.abs(centered)))
+        if spread > 0:
+            # The ratios are scale-free: rescaling by a power of two is
+            # exact and keeps m2**1.5 from underflowing on tiny spreads.
+            z = np.ldexp(centered, -math.frexp(spread)[1])
+            m2 = float(np.mean(z * z))
+            skewness = float(np.mean(z**3)) / m2**1.5
+            excess_kurtosis = float(np.mean(z**4)) / (m2 * m2) - 3.0
         else:
             skewness = 0.0
             excess_kurtosis = 0.0
@@ -146,14 +150,22 @@ class HistogramData:
 
 
 def histogram(samples, bins: int) -> HistogramData:
-    """Bin the samples into `bins` uniform bins spanning [min, max]."""
+    """Bin the samples into `bins` uniform bins spanning [min, max]; a range
+    too narrow for `bins` distinct edges raises NTooLarge naming it."""
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise EmptySample("cannot histogram an empty sample")
     with _finite_statistics(x, "histogram"):
         bins = require_n(bins, minimum=1, name="bins")
         with allocating(bins, "bins"):
-            counts, edges = np.histogram(x, bins=bins)
+            try:
+                counts, edges = np.histogram(x, bins=bins)
+            except ValueError as exc:
+                if "data range" not in str(exc):  # numpy found coinciding edges
+                    raise
+                lo, hi = float(x.min()), float(x.max())
+                raise NTooLarge(f"the sample's range [{lo!r}, {hi!r}] is too narrow "
+                                f"to split into {bins} bins") from None
     return HistogramData(edges=edges, counts=counts)
 
 
@@ -227,6 +239,9 @@ def martingale_residual_check(
     """
     steps = require_n(n, minimum=3) - 2
     trajectories = require_n(trajectories, minimum=1, name="trajectories")
+    if trajectories > np.iinfo(np.int64).max:
+        raise NTooLarge(f"trajectories={trajectories} exceeds the int64 range "
+                        "of the tally that counts it")
     c = analytics.coefficients(spec, probs)
     starts = range(0, trajectories, _TRAJECTORY_BLOCK)
     with allocating(n):

@@ -1,5 +1,6 @@
 """Chain growth, seeded generation, replay, and exhaustive enumeration."""
 
+import dataclasses
 import math
 import pickle
 from fractions import Fraction
@@ -31,6 +32,7 @@ from spirochain import (
     splitmix64,
     vertex_profile,
 )
+from spirochain.cli import main as cli_main
 
 UNIFORM = LinkProbabilities.uniform()
 
@@ -342,3 +344,37 @@ def test_closed_form_profiles_match_the_graph_on_every_short_chain():
 @pytest.mark.parametrize("n", [2, 3, 1000, 100_000])
 def test_closed_form_profiles_match_the_graph_on_generated_chains(n):
     _assert_closed_form_profiles(generate(n, LinkProbabilities(0.3, 0.45, 0.25), n))
+
+
+def test_replay_accepts_a_link_string():
+    from_string, from_links = replay("OMPO"), replay(parse_links("OMPO"))
+    assert from_string.links == from_links.links
+    assert np.array_equal(from_string.graph.edges, from_links.graph.edges)
+    assert from_string == from_links
+
+
+@pytest.mark.parametrize("links", ["OMXP", [LinkType.ORTHO, "X"]], ids=["string", "sequence"])
+def test_replay_names_a_bad_link(links):
+    with pytest.raises(ValueError, match="may only contain O, M, P; got 'X'"):
+        replay(links)
+
+
+def test_chain_is_its_link_codes():
+    assert [f.name for f in dataclasses.fields(sc.SpiroChain)] == ["n", "codes"]
+    chain = generate(12, UNIFORM, 3)
+    assert chain.codes == links_to_string(chain.links).encode()
+    assert sc.SpiroChain(12, chain.codes) == chain
+    assert initial_chain(1).graph == sc.hexagon()
+
+
+def test_answers_from_the_links_build_no_graph(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(sc.MolecularGraph, "__post_init__", refuse)
+    for argv in (["--links", "OMPO"], ["--n", "50"]):
+        assert cli_main(["compute", "--index", "randic", *argv]) == 0, capsys.readouterr().err
+    chain = generate(50, UNIFORM, 1)
+    assert chain.edge_profile().m44 == chain.ortho_count == chain.links.count(LinkType.ORTHO)
+    assert chain.vertex_profile().c4 == 49
+    assert "graph" not in vars(chain)

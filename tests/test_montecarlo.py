@@ -13,6 +13,7 @@ from spirochain import (
     InvalidN,
     LinkProbabilities,
     NonFiniteSample,
+    NTooLarge,
     SampleTooSmall,
     SpiroChainError,
     coefficients,
@@ -334,3 +335,20 @@ def test_samples_whose_statistics_overflow_are_refused(call):
 def test_non_finite_sample_is_a_value_error():
     assert issubclass(NonFiniteSample, SpiroChainError)
     assert issubclass(NonFiniteSample, ValueError)
+
+
+def test_summarize_rescales_a_tiny_spread():
+    # m2 ~ 2.5e-311: its 1.5th power underflows unless the sample is rescaled
+    summary = summarize([0.0, 1e-155])
+    assert (summary.skewness, summary.excess_kurtosis) == (0.0, -2.0)
+
+
+def test_histogram_of_a_range_too_narrow_names_the_range():
+    with pytest.raises(NTooLarge, match=r"range \[0\.0, 5e-324\] is too narrow"):
+        histogram([0.0, 5e-324], 3)
+
+
+@pytest.mark.parametrize("trajectories", [2**63, 10**400], ids=["2**63", "10**400"])
+def test_trajectories_beyond_the_int64_tally_raise(trajectories):
+    with pytest.raises(NTooLarge, match=r"trajectories=\d+ exceeds the int64 range"):
+        martingale_residual_check(NIRMALA, UNIFORM, 5, trajectories, 0)
