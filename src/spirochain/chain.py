@@ -116,15 +116,17 @@ class SpiroChain:
 
     terminal_hexagon lists the newest hexagon's vertex ids in ring order;
     terminal_cut_vertex is the vertex it shares with its predecessor (None
-    only for the single-hexagon chain).
+    only for the single-hexagon chain).  n must be an integer >= 1
+    (InvalidN otherwise) and codes must be bytes (TypeError otherwise).
     """
 
     n: int
     codes: bytes
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidN(f"a chain needs at least one hexagon, got n={self.n}")
+        require_n(self.n, minimum=1)
+        if not isinstance(self.codes, bytes):
+            raise TypeError(f"codes must be bytes, got {type(self.codes).__name__}")
         if len(self.codes) != max(self.n - 2, 0):
             raise ValueError(
                 f"n={self.n} requires {max(self.n - 2, 0)} links, got {len(self.codes)}"
@@ -200,7 +202,7 @@ def chain_vertex_profile(n: int) -> VertexProfile:
 
 def initial_chain(n: int) -> SpiroChain:
     """The one- or two-hexagon chain every longer chain starts from."""
-    if n not in (1, 2):
+    if require_n(n, minimum=1) > 2:
         raise InvalidN(f"initial chains have 1 or 2 hexagons, got n={n!r}")
     return SpiroChain(n, b"")
 
@@ -314,6 +316,7 @@ def generate(n: int, probs: LinkProbabilities, seed: int) -> SpiroChain:
     graph, bit for bit.
     """
     steps = require_n(n) - 2
+    probs = _coerce_probs(probs)
     with allocating(n):
         indexes = draw_link_indexes(rng_from_seed(seed), steps, probs)
         return SpiroChain(steps + 2, np.frombuffer(_CODES, np.uint8)[indexes].tobytes())

@@ -51,7 +51,7 @@ class EmptySample(SpiroChainError):
 
 class NonFiniteSample(SpiroChainError, ValueError):
     """A sample statistic was requested on a sample holding NaN or infinity,
-    or on one whose moments or range overflow float64."""
+    or on one whose moments, range or histogram densities overflow float64."""
 
 
 class SampleTooSmall(SpiroChainError):

@@ -163,7 +163,8 @@ EDGE_KIND_NAMES: tuple[str, ...] = tuple(
 
 
 def registry_lookup(name: str, a: float | None = None) -> IndexSpec:
-    """Fetch a named index; `a` is required exactly for the variable families."""
+    """Fetch a named index; `a` is required exactly for the variable families
+    and must be finite (UndefinedBase otherwise)."""
     entry = _REGISTRY.get(name)
     if entry is None:
         raise UnknownIndex(
@@ -173,6 +174,8 @@ def registry_lookup(name: str, a: float | None = None) -> IndexSpec:
         if a is None:
             raise MissingExponent(f"{name} requires an exponent")
         exponent = float(a)
+        if not math.isfinite(exponent):
+            raise UndefinedBase(f"{name}: the exponent a={a!r} is not finite")
     else:
         if a is not None:
             raise ValueError(f"{name} has a fixed exponent; do not pass one")

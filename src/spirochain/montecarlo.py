@@ -57,7 +57,7 @@ def _finite_statistics(x: np.ndarray, what: str):
             yield
     except FloatingPointError:
         raise NonFiniteSample(
-            f"cannot {what} this sample: its moments or range overflow float64"
+            f"cannot {what} this sample: its statistics overflow float64"
         ) from None
 
 
@@ -67,11 +67,14 @@ def summarize(values) -> SampleSummary:
         raise EmptySample("cannot summarize an empty sample")
     with _finite_statistics(x, "summarize"):
         mean = float(x.mean())
-        centered = x - mean
+        # The ratios are scale-free: rescaling by a power of two is exact.
+        # Scaling by the largest magnitude before centring keeps a
+        # subnormal mean from rounding; scaling the centred sample by its
+        # spread keeps m2**1.5 from underflowing.
+        y = np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
+        centered = y - y.mean()
         spread = float(np.max(np.abs(centered)))
         if spread > 0:
-            # The ratios are scale-free: rescaling by a power of two is
-            # exact and keeps m2**1.5 from underflowing on tiny spreads.
             z = np.ldexp(centered, -math.frexp(spread)[1])
             m2 = float(np.mean(z * z))
             skewness = float(np.mean(z**3)) / m2**1.5
@@ -151,7 +154,8 @@ class HistogramData:
 
 def histogram(samples, bins: int) -> HistogramData:
     """Bin the samples into `bins` uniform bins spanning [min, max]; a range
-    too narrow for `bins` distinct edges raises NTooLarge naming it."""
+    too narrow for `bins` distinct edges raises NTooLarge naming it, and one
+    whose densities overflow float64 raises NonFiniteSample."""
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise EmptySample("cannot histogram an empty sample")
@@ -166,7 +170,9 @@ def histogram(samples, bins: int) -> HistogramData:
                 lo, hi = float(x.min()), float(x.max())
                 raise NTooLarge(f"the sample's range [{lo!r}, {hi!r}] is too narrow "
                                 f"to split into {bins} bins") from None
-    return HistogramData(edges=edges, counts=counts)
+        hist = HistogramData(edges=edges, counts=counts)
+        hist.densities()
+    return hist
 
 
 @dataclass(frozen=True)

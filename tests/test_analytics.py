@@ -1,6 +1,7 @@
 """Closed-form moments, exact distribution, MGF, and the centered transform."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from spirochain import (
     standardize,
     variance,
 )
+from spirochain.analytics import _binomial_pmf
 from spirochain.indices import REGISTRY_NAMES, VARIABLE_EXPONENT_NAMES
 
 UNIFORM = LinkProbabilities.uniform()
@@ -226,6 +228,29 @@ def test_exact_distribution_pmf_matches_scipy(steps, p_ortho):
 def test_exact_distribution_pmf_matches_scipy_at_a_million_steps():
     # the largest drift from scipy on the oracle grid occurs here
     assert_pmf_matches_scipy(999998, 0.3)
+
+
+def exact_binomial_pmf(steps, p):
+    """Binomial(steps, p) in exact rational arithmetic from the double's
+    exact value, each term rounded to float."""
+    P = Fraction(p)
+    Q = 1 - P
+    term = Q**steps
+    pmf = [float(term)]
+    for k in range(steps):
+        term = term * (steps - k) * P / ((k + 1) * Q)
+        pmf.append(float(term))
+    return np.array(pmf)
+
+
+@pytest.mark.parametrize("steps", [48, 998])
+@pytest.mark.parametrize("p_ortho", ORACLE_P_ORTHO[1:-1])
+def test_binomial_pmf_matches_exact_arithmetic(steps, p_ortho):
+    reference = exact_binomial_pmf(steps, p_ortho)
+    pmf = _binomial_pmf(steps, p_ortho)
+    kept = reference >= 1e-300
+    relative = np.abs(pmf[kept] - reference[kept]) / reference[kept]
+    assert float(relative.max()) <= 2e-13
 
 
 def test_exact_distribution_merges_coincident_support_points():

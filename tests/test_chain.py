@@ -367,6 +367,26 @@ def test_chain_is_its_link_codes():
     assert initial_chain(1).graph == sc.hexagon()
 
 
+@pytest.mark.parametrize("make", [lambda n: sc.SpiroChain(n, b""), initial_chain],
+                         ids=["SpiroChain", "initial_chain"])
+@pytest.mark.parametrize("n", [True, 2.0, 0], ids=["bool", "float", "zero"])
+def test_chains_refuse_an_n_that_is_not_a_count(make, n):
+    with pytest.raises(InvalidN):
+        make(n)
+
+
+@pytest.mark.parametrize("codes", [bytearray(b"O"), "O"], ids=["bytearray", "str"])
+def test_chain_codes_must_be_bytes(codes):
+    with pytest.raises(TypeError, match="codes must be bytes"):
+        sc.SpiroChain(3, codes)
+
+
+def test_generate_checks_probabilities_before_sizing_arrays():
+    # a ValueError raised while sizing the arrays would read as NTooLarge
+    with pytest.raises(ValueError, match="truth value of an array"):
+        generate(5, (np.array([0.5, 0.5]), 0.25, 0.25), 0)
+
+
 def test_answers_from_the_links_build_no_graph(monkeypatch, capsys):
     def refuse(self):
         raise AssertionError("a graph was built")

@@ -331,6 +331,17 @@ def test_index_exponent_overflow_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["analyze", "--index", "variable-sum-connectivity", "--n", "5", "--a", "nan"],
+    ["analyze", "--index", "variable-sum-connectivity", "--n", "5", "--a=-inf"],
+    ["compute", "--index", "variable-first-zagreb", "--a=-inf", "--links", "OMP"],
+], ids=["analyze-nan", "analyze-minus-inf", "compute-minus-inf"])
+def test_non_finite_exponent_exits_2_naming_it(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "exponent a=" in err and "is not finite" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["analyze", "--format", "json"],
     ["analyze", "--format", "csv"],
     ["distribution"],

@@ -6,6 +6,8 @@ output file (null when the file must not exist).  Regenerate it only when an
 output change is intended:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+It prints the argv of each entry that changed and the count of the rest.
 """
 
 import contextlib
@@ -121,5 +123,9 @@ if __name__ == "__main__":
     for argv in COMMANDS:
         with tempfile.TemporaryDirectory() as tmp:
             records.append(_record(argv, Path(tmp)))
+    changed = [record for record in records if record not in ENTRIES]
+    for record in changed:
+        print("changed:", " ".join(record["argv"]), file=sys.stderr)
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
-    print(f"wrote {len(records)} commands to {GOLDEN}", file=sys.stderr)
+    print(f"wrote {len(records)} commands to {GOLDEN}; "
+          f"{len(records) - len(changed)} unchanged", file=sys.stderr)

@@ -55,6 +55,12 @@ def test_registry_errors():
         registry_lookup("randic", a=2.0)
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_registry_refuses_a_non_finite_exponent(a):
+    with pytest.raises(UndefinedBase, match=rf"a={a!r} is not finite"):
+        registry_lookup("variable-sum-connectivity", a)
+
+
 def test_known_values_on_small_graphs():
     assert evaluate(registry_lookup("first-zagreb"), SEED_GRAPH) == 56.0
     assert evaluate(registry_lookup("nirmala"), hexagon()) == 12.0

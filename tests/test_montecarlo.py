@@ -323,9 +323,11 @@ def test_non_finite_samples_are_refused(call):
     [
         lambda: summarize([-1e308, 1e308]),
         lambda: histogram([-1e308, 1e308], 3),
+        # two bins of width 5e-311 hold one sample each: density 1e310
+        lambda: histogram([0.0, 1e-310], 2),
         lambda: normality_check([-1e308, 1e308] * 60),
     ],
-    ids=["summarize", "histogram", "normality"],
+    ids=["summarize", "histogram", "histogram-densities", "normality"],
 )
 def test_samples_whose_statistics_overflow_are_refused(call):
     with pytest.raises(NonFiniteSample, match="overflow float64"):
@@ -340,6 +342,13 @@ def test_non_finite_sample_is_a_value_error():
 def test_summarize_rescales_a_tiny_spread():
     # m2 ~ 2.5e-311: its 1.5th power underflows unless the sample is rescaled
     summary = summarize([0.0, 1e-155])
+    assert (summary.skewness, summary.excess_kurtosis) == (0.0, -2.0)
+
+
+def test_summarize_centres_a_sample_whose_mean_is_subnormal():
+    # the mean 2.5e-324 rounds to 0.0, which would leave [0, 5e-324] uncentred
+    summary = summarize([0.0, 5e-324])
+    assert summary.mean == np.mean([0.0, 5e-324])
     assert (summary.skewness, summary.excess_kurtosis) == (0.0, -2.0)
 
 
