@@ -274,6 +274,30 @@ def mgf(spec: IndexSpec, n: int, probs: LinkProbabilities, t: float) -> float:
     return value
 
 
+def log_mgf(spec: IndexSpec, n: int, probs: LinkProbabilities, t: float) -> float:
+    """Natural log of mgf(spec, n, probs, t), finite where mgf overflows:
+    t * ti2 + (n-2) * log(p_ortho * exp(t * alpha_ortho)
+    + (1 - p_ortho) * exp(t * alpha_meta)), the step summed in log-sum-exp
+    form over its positive-weight terms.
+    Raises UndefinedBase when the result is not finite (or t is NaN, or n
+    is beyond the double range).
+    """
+    n = require_n(n)
+    c = coefficients(spec, probs)
+    p, t = c.p_ortho, float(t)  # a Python float overflows to inf without a warning
+    terms = [(w, t * alpha) for w, alpha in ((p, c.alpha_ortho), (1.0 - p, c.alpha_meta))
+             if w > 0]
+    top = max(x for _, x in terms)
+    step = top + math.log(sum(w * math.exp(x - top) for w, x in terms))
+    try:
+        value = t * c.ti2 + (n - 2) * step
+    except OverflowError:  # n - 2 does not convert to a double
+        value = math.inf
+    if not math.isfinite(value):
+        raise UndefinedBase(f"{spec.name}: the log mgf at t={t!r}, n={n} is not finite")
+    return value
+
+
 def standardize(value, spec: IndexSpec, n: int, probs: LinkProbabilities):
     """Center by the closed-form mean and scale by the closed-form sd.
 

@@ -11,9 +11,11 @@ binomial count.
 A SpiroChain holds only n and its link codes, one byte per link over
 b"OMP"; everything else derives from them.  Every ring is listed from its
 shared vertex, so each shared vertex has a closed form in the link offsets,
-and one cached builder computes all rings at once.  The graph is built from
-those rings on first use.  The degree profile is closed-form too, in n and
-the ortho count, so a chain answers profile queries without a graph.
+and one cached builder computes all rings at once.  The edge list's JSON
+text is written straight from the rings, each ring's six rows already in
+(low, high) order; the validated graph is built from the same rows only
+when `graph` is first read.  The degree profile is closed-form too, in n
+and the ortho count, so a chain answers profile queries without a graph.
 
 Reproducibility contract: random growth uses a Philox (4x64, 10 rounds)
 counter-based generator keyed directly by the 64-bit seed, and link types
@@ -37,6 +39,7 @@ import numpy as np
 
 from .errors import ChainTooShort, InvalidN, InvalidProbabilities, NTooLarge
 from .graph import EdgeProfile, MolecularGraph, VertexProfile, _EDGE_DTYPE
+from .graph import _BLOCK_ROWS, _edge_rows_json
 
 GENERATOR_ALGORITHM = "philox4x64-10"
 SEED_MIX_ALGORITHM = "splitmix64"
@@ -69,8 +72,10 @@ _CODES = b"OMP"
 _CODE_TO_INDEX = bytes.maketrans(_CODES, b"\0\1\2")
 _INDEX_TO_CODE = bytes.maketrans(b"\0\1\2", _CODES)
 
-# Column pairs of a ring's six edges: (0, 1), (1, 2), ..., (5, 0).
-_RING_EDGES = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0])
+# Column pairs of a ring's six edges: (0, 1), (1, 2), ..., (4, 5), (0, 5).
+# Every pair is (low, high) because a ring's shared vertex s_j is below
+# its first new id f_j.
+_RING_EDGES = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 0, 5])
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,8 @@ class LinkProbabilities:
 
     def __post_init__(self) -> None:
         for name, p in zip(("p_ortho", "p_meta", "p_para"), self.as_tuple()):
+            if getattr(p, "ndim", 0):  # an array has no single truth value
+                raise InvalidProbabilities(f"{name}={p!r} is not a single number")
             if not (0 <= p <= 1):
                 raise InvalidProbabilities(f"{name}={p!r} is outside [0, 1]")
         total = self.p_ortho + self.p_meta + self.p_para
@@ -159,11 +166,19 @@ class SpiroChain:
 
     @cached_property
     def graph(self) -> MolecularGraph:
-        """Six edge rows per ring, each (vertex, successor) in ring order
-        with the closing edge last; MolecularGraph orders them (low, high)."""
+        """The validated graph: six (low, high) edge rows per ring, in ring
+        order with the closing edge last."""
         with allocating(self.n):
             rows = self._rings.take(_RING_EDGES, axis=1).reshape(-1, 2)
             return MolecularGraph(5 * self.n + 1, rows)
+
+    def _edges_json_blocks(self) -> Iterator[bytes]:
+        """The JSON text of graph.edges as ASCII byte chunks, written from
+        the rings _BLOCK_ROWS // 6 at a time; builds no graph."""
+        rings, step = self._rings, _BLOCK_ROWS // 6
+        blocks = (rings[i:i + step].take(_RING_EDGES, axis=1).reshape(-1, 2)
+                  for i in range(0, self.n, step))
+        return _edge_rows_json(blocks, 5 * self.n, 6 * self.n)
 
     @property
     def terminal_cut_vertex(self) -> int | None:

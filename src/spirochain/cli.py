@@ -164,15 +164,15 @@ def cmd_generate(args: argparse.Namespace):
     chain = generate(args.n, args.probs, args.seed)
     profile = chain.edge_profile()
     # One line, as json.dumps writes it, with the long edge list put in as
-    # the byte blocks of the graph's own numpy writer ("links" holds only O,
+    # the byte blocks the chain writes from its rings ("links" holds only O,
     # M and P, so the placeholder is the first match).
     head, _, tail = _json_text({
         "n": chain.n, "links": chain.codes.decode(),
-        "vertices": chain.graph.vertex_count, "edges": 0,
+        "vertices": chain.vertex_profile().total, "edges": 0,
         "edge_profile": {"m22": profile.m22, "m24": profile.m24, "m44": profile.m44},
         "rng": GENERATOR_ALGORITHM, "seed": args.seed,
     }, indent=None).partition('"edges": 0')
-    return [f'{head}"edges": '.encode(), *chain.graph._edges_json_blocks(),
+    return [f'{head}"edges": '.encode(), *chain._edges_json_blocks(),
             f"{tail}\n".encode()], ()
 
 

@@ -33,8 +33,8 @@ class SampleSummary:
     """Moments and range of one sample.
 
     Variance is the unbiased estimate; skewness and excess kurtosis use the
-    plain central-moment ratios and are reported as 0 for degenerate
-    (constant) samples.
+    plain central-moment ratios.  A constant sample reports its value as the
+    mean and 0 for variance, skewness and excess kurtosis.
     """
 
     count: int
@@ -66,30 +66,27 @@ def summarize(values) -> SampleSummary:
     if x.size == 0:
         raise EmptySample("cannot summarize an empty sample")
     with _finite_statistics(x, "summarize"):
+        lo, hi = float(x.min()), float(x.max())
+        if lo == hi:  # a rounded mean would leave a spurious spread
+            return SampleSummary(int(x.size), lo, 0.0, 0.0, 0.0, lo, hi)
         mean = float(x.mean())
         # The ratios are scale-free: rescaling by a power of two is exact.
         # Scaling by the largest magnitude before centring keeps a
         # subnormal mean from rounding; scaling the centred sample by its
-        # spread keeps m2**1.5 from underflowing.
+        # spread (not 0: the sample holds two distinct values) keeps
+        # m2**1.5 from underflowing.
         y = np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
         centered = y - y.mean()
-        spread = float(np.max(np.abs(centered)))
-        if spread > 0:
-            z = np.ldexp(centered, -math.frexp(spread)[1])
-            m2 = float(np.mean(z * z))
-            skewness = float(np.mean(z**3)) / m2**1.5
-            excess_kurtosis = float(np.mean(z**4)) / (m2 * m2) - 3.0
-        else:
-            skewness = 0.0
-            excess_kurtosis = 0.0
+        z = np.ldexp(centered, -math.frexp(float(np.max(np.abs(centered))))[1])
+        m2 = float(np.mean(z * z))
         return SampleSummary(
             count=int(x.size),
             mean=mean,
-            variance=float(x.var(ddof=1)) if x.size > 1 else 0.0,
-            skewness=skewness,
-            excess_kurtosis=excess_kurtosis,
-            minimum=float(x.min()),
-            maximum=float(x.max()),
+            variance=float(x.var(ddof=1)),
+            skewness=float(np.mean(z**3)) / m2**1.5,
+            excess_kurtosis=float(np.mean(z**4)) / (m2 * m2) - 3.0,
+            minimum=lo,
+            maximum=hi,
         )
 
 

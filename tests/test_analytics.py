@@ -25,6 +25,7 @@ from spirochain import (
     grow,
     initial_chain,
     martingale_residual_check,
+    log_mgf,
     martingale_transform,
     mgf,
     parse_links,
@@ -336,6 +337,40 @@ def test_mgf_overflow_is_signalled():
                         (3, UNIFORM, 7.0), (10, UNIFORM, math.nan)):
         with pytest.raises(UndefinedBase, match="mgf .* not finite"):
             mgf(ZAGREB2, n, probs, t)
+
+
+@pytest.mark.parametrize("spec", [ZAGREB2, NIRMALA, SOMBOR, RANDIC], ids=lambda s: s.name)
+def test_log_mgf_is_the_log_of_mgf_wherever_mgf_is_finite(spec):
+    checked = 0
+    for n in (2, 3, 10, 1000):
+        for probs in (UNIFORM, HALF, (1.0, 0.0, 0.0), (0.0, 0.5, 0.5), (0.3, 0.45, 0.25)):
+            assert log_mgf(spec, n, probs, 0.0) == 0.0
+            for t in (-2.0, -0.1, 0.01, 0.5, 3.0):
+                try:
+                    value = mgf(spec, n, probs, t)
+                except UndefinedBase:
+                    continue
+                if value > 0:
+                    assert rel_close(log_mgf(spec, n, probs, t), math.log(value), 1e-12)
+                    checked += 1
+    assert checked > 50
+
+
+def test_log_mgf_is_finite_where_mgf_overflows():
+    with pytest.raises(UndefinedBase):
+        mgf(ZAGREB2, 10**6, UNIFORM, 1.0)
+    value = log_mgf(ZAGREB2, 10**6, UNIFORM, 1.0)
+    c = coefficients(ZAGREB2, UNIFORM)
+    step = math.log(c.p_ortho * math.exp(c.alpha_ortho)
+                    + (1 - c.p_ortho) * math.exp(c.alpha_meta))
+    assert rel_close(value, c.ti2 + (10**6 - 2) * step, 1e-12)
+    assert 4.29e7 < value < 4.30e7
+    # the step's terms overflow exp() although their log-sum-exp is finite
+    assert math.isfinite(log_mgf(ZAGREB2, 10, HALF, 50.0))
+    for n, t in ((10, math.nan), (10, math.inf), (10, -math.inf), (10, np.float64(1e308)),
+                 (10**400, 1e-3)):
+        with pytest.raises(UndefinedBase, match="log mgf .* not finite"):
+            log_mgf(ZAGREB2, n, UNIFORM, t)
 
 
 def test_standardize_uses_the_closed_form_moments_exactly():

@@ -1,6 +1,7 @@
 """Chain growth, seeded generation, replay, and exhaustive enumeration."""
 
 import dataclasses
+import json
 import math
 import pickle
 from fractions import Fraction
@@ -33,6 +34,7 @@ from spirochain import (
     vertex_profile,
 )
 from spirochain.cli import main as cli_main
+from spirochain.graph import _BLOCK_ROWS
 
 UNIFORM = LinkProbabilities.uniform()
 
@@ -199,6 +201,7 @@ PROB_TAKERS = {
         sc.exact_distribution(ZAGREB2, 10, p).pmf.tolist(),
     ),
     "mgf": lambda p: sc.mgf(ZAGREB2, 10, p, 0.01),
+    "log_mgf": lambda p: sc.log_mgf(ZAGREB2, 10, p, 0.01),
     "standardize": lambda p: sc.standardize(100.0, ZAGREB2, 10, p),
     "martingale_transform": lambda p: (
         sc.martingale_transform([64.0, 84.0, 110.0], ZAGREB2, p).tolist()
@@ -217,6 +220,12 @@ def test_every_probability_taker_accepts_tuples(name):
     assert call((0.3, 0.45, 0.25)) == call(LinkProbabilities(0.3, 0.45, 0.25))
     with pytest.raises(InvalidProbabilities):
         call((0.5, 0.5, 0.5))
+
+
+@pytest.mark.parametrize("name", list(PROB_TAKERS))
+def test_every_probability_taker_refuses_array_entries(name):
+    with pytest.raises(InvalidProbabilities, match="p_meta=array"):
+        PROB_TAKERS[name]((0.5, np.array([0.25, 0.25]), 0.25))
 
 
 def test_generate_trivial_cases():
@@ -383,8 +392,9 @@ def test_chain_codes_must_be_bytes(codes):
 
 def test_generate_checks_probabilities_before_sizing_arrays():
     # a ValueError raised while sizing the arrays would read as NTooLarge
-    with pytest.raises(ValueError, match="truth value of an array"):
+    with pytest.raises(InvalidProbabilities, match="p_ortho=array") as info:
         generate(5, (np.array([0.5, 0.5]), 0.25, 0.25), 0)
+    assert not isinstance(info.value, NTooLarge)
 
 
 def test_answers_from_the_links_build_no_graph(monkeypatch, capsys):
@@ -398,3 +408,53 @@ def test_answers_from_the_links_build_no_graph(monkeypatch, capsys):
     assert chain.edge_profile().m44 == chain.ortho_count == chain.links.count(LinkType.ORTHO)
     assert chain.vertex_profile().c4 == 49
     assert "graph" not in vars(chain)
+
+
+def test_generate_writes_its_edges_without_building_a_graph(monkeypatch, capsys, tmp_path):
+    argv = ["generate", "--n", "5000", "--seed", "9", "--p-ortho", "0.3"]
+    assert cli_main([*argv, "--out", str(tmp_path / "built.json")]) == 0
+
+    def refuse(self):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(sc.MolecularGraph, "__post_init__", refuse)
+    assert cli_main([*argv, "--out", str(tmp_path / "unbuilt.json")]) == 0
+    assert cli_main(argv) == 0
+    printed, err = capsys.readouterr()
+    assert err == ""
+    expected = (tmp_path / "built.json").read_bytes()
+    assert (tmp_path / "unbuilt.json").read_bytes() == printed.encode() == expected
+
+
+def assert_chain_writes_its_graph(chain):
+    written = b"".join(chain._edges_json_blocks()).decode()
+    assert written == json.dumps(chain.graph.edges.tolist())
+
+
+def test_chain_writer_matches_the_graph_on_every_short_chain():
+    assert_chain_writes_its_graph(initial_chain(1))
+    assert_chain_writes_its_graph(initial_chain(2))
+    for n in range(3, 10):
+        for links, _ in enumerate_all(n, UNIFORM):
+            assert_chain_writes_its_graph(replay(links))
+
+
+@given(link_lists)
+def test_chain_writer_matches_the_graph_on_replayed_chains(links):
+    assert_chain_writes_its_graph(replay(links))
+
+
+@pytest.mark.parametrize("probs", [(0.3, 0.45, 0.25), (1.0, 0.0, 0.0)], ids=["mixed", "ortho"])
+def test_chain_writer_matches_the_graph_on_a_long_chain(probs):
+    assert_chain_writes_its_graph(generate(100_000, probs, 11))
+
+
+RING_BLOCK = _BLOCK_ROWS // 6
+
+
+@pytest.mark.parametrize("n", [RING_BLOCK - 1, RING_BLOCK, RING_BLOCK + 1, 2 * RING_BLOCK + 1])
+def test_chain_writer_matches_the_graph_at_ring_block_boundaries(n):
+    chain = generate(n, UNIFORM, n)
+    assert_chain_writes_its_graph(chain)
+    blocks = list(chain._edges_json_blocks())
+    assert len(blocks) == 2 + -(-n // RING_BLOCK)  # "[", the blocks, "]"

@@ -14,6 +14,7 @@ from spirochain import (
     LinkProbabilities,
     NonFiniteSample,
     NTooLarge,
+    SampleSummary,
     SampleTooSmall,
     SpiroChainError,
     coefficients,
@@ -350,6 +351,17 @@ def test_summarize_centres_a_sample_whose_mean_is_subnormal():
     summary = summarize([0.0, 5e-324])
     assert summary.mean == np.mean([0.0, 5e-324])
     assert (summary.skewness, summary.excess_kurtosis) == (0.0, -2.0)
+
+
+@pytest.mark.parametrize("sample", [[0.1] * 3, [0.1] * 10, [1.7e308] * 5],
+                         ids=["0.1x3", "0.1x10", "1.7e308x5"])
+def test_summarize_reports_no_spread_for_a_constant_sample(sample):
+    # the rounded mean of [0.1] * 3 exceeds 0.1; the sum of [1.7e308] * 5 overflows
+    value = sample[0]
+    assert summarize(sample) == SampleSummary(
+        count=len(sample), mean=value, variance=0.0, skewness=0.0,
+        excess_kurtosis=0.0, minimum=value, maximum=value,
+    )
 
 
 def test_histogram_of_a_range_too_narrow_names_the_range():
