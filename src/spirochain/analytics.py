@@ -263,7 +263,7 @@ def mgf(spec: IndexSpec, n: int, probs: LinkProbabilities, t: float) -> float:
     """
     n = require_n(n)
     c = coefficients(spec, probs)
-    p = c.p_ortho
+    p, t = c.p_ortho, float(t)  # a Python float overflows to inf without a warning
     try:
         step = p * math.exp(t * c.alpha_ortho) + (1.0 - p) * math.exp(t * c.alpha_meta)
         value = math.exp(t * c.ti2) * step ** (n - 2)

@@ -11,11 +11,12 @@ binomial count.
 A SpiroChain holds only n and its link codes, one byte per link over
 b"OMP"; everything else derives from them.  Every ring is listed from its
 shared vertex, so each shared vertex has a closed form in the link offsets,
-and one cached builder computes all rings at once.  The edge list's JSON
-text is written straight from the rings, each ring's six rows already in
-(low, high) order; the validated graph is built from the same rows only
-when `graph` is first read.  The degree profile is closed-form too, in n
-and the ortho count, so a chain answers profile queries without a graph.
+and one cached builder computes all rings at once.  The chain writes its
+edge list's JSON text itself, straight from the rings, each ring's six rows
+already in (low, high) order; the validated graph is built from the same
+rows only when `graph` is first read, and is the writer's oracle.  The
+degree profile is closed-form too, in n and the ortho count, so a chain
+answers profile queries without a graph.
 
 Reproducibility contract: random growth uses a Philox (4x64, 10 rounds)
 counter-based generator keyed directly by the 64-bit seed, and link types
@@ -30,7 +31,6 @@ import contextlib
 import enum
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -39,13 +39,11 @@ import numpy as np
 
 from .errors import ChainTooShort, InvalidN, InvalidProbabilities, NTooLarge
 from .graph import EdgeProfile, MolecularGraph, VertexProfile, _EDGE_DTYPE
-from .graph import _BLOCK_ROWS, _edge_rows_json
 
 GENERATOR_ALGORITHM = "philox4x64-10"
 SEED_MIX_ALGORITHM = "splitmix64"
 
 DEFAULT_MAX_ENUM_N = 12
-MAX_ENUM_ENV_VAR = "SPIRO_MAX_ENUM_N"
 
 _MASK64 = (1 << 64) - 1
 
@@ -77,6 +75,10 @@ _INDEX_TO_CODE = bytes.maketrans(b"\0\1\2", _CODES)
 # its first new id f_j.
 _RING_EDGES = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 0, 5])
 
+# Rings per block of the JSON edge writer: a block's 32,766 rows (~1 MB of
+# arrays at six-digit ids) stay in L2 through its digit passes.
+_BLOCK_RINGS = 5461
+
 
 @dataclass(frozen=True)
 class LinkProbabilities:
@@ -96,8 +98,11 @@ class LinkProbabilities:
         for name, p in zip(("p_ortho", "p_meta", "p_para"), self.as_tuple()):
             if getattr(p, "ndim", 0):  # an array has no single truth value
                 raise InvalidProbabilities(f"{name}={p!r} is not a single number")
-            if not (0 <= p <= 1):
-                raise InvalidProbabilities(f"{name}={p!r} is outside [0, 1]")
+            try:
+                if not (0 <= p <= 1):
+                    raise InvalidProbabilities(f"{name}={p!r} is outside [0, 1]")
+            except TypeError:
+                raise InvalidProbabilities(f"{name}={p!r} is not a real number") from None
         total = self.p_ortho + self.p_meta + self.p_para
         if abs(float(total - 1)) > self._SUM_TOL:
             raise InvalidProbabilities(f"probabilities sum to {total!r}, expected 1")
@@ -173,12 +178,42 @@ class SpiroChain:
             return MolecularGraph(5 * self.n + 1, rows)
 
     def _edges_json_blocks(self) -> Iterator[bytes]:
-        """The JSON text of graph.edges as ASCII byte chunks, written from
-        the rings _BLOCK_ROWS // 6 at a time; builds no graph."""
-        rings, step = self._rings, _BLOCK_ROWS // 6
-        blocks = (rings[i:i + step].take(_RING_EDGES, axis=1).reshape(-1, 2)
-                  for i in range(0, self.n, step))
-        return _edge_rows_json(blocks, 5 * self.n, 6 * self.n)
+        """The JSON text of graph.edges as ASCII byte chunks, in order,
+        written from the rings _BLOCK_RINGS at a time; builds no graph.
+
+        Built in numpy, with no Python object per edge, one block at a time,
+        so that every pass over a block stays in cache.  Every row is laid
+        out as "[u, v], " in one fixed-width byte table reused by all
+        blocks, each id right-aligned in d columns (d digits of the largest
+        id, 5n) behind zero bytes; deleting the zero bytes leaves the JSON
+        text of the block.
+        """
+        n, rings, top = self.n, self._rings, 5 * self.n
+        d = len(str(top))
+        layout = np.frombuffer(b"[" + bytes(d) + b", " + bytes(d) + b"], ", np.uint8)
+        table = np.empty((6 * min(n, _BLOCK_RINGS), layout.size), dtype=np.uint8)
+        table[:] = layout  # every block rewrites all digit columns
+        dtype = np.min_scalar_type(top)
+        yield b"["
+        for i in range(0, n, _BLOCK_RINGS):
+            block = rings[i:i + _BLOCK_RINGS].take(_RING_EDGES, axis=1)
+            value = block.astype(dtype).reshape(-1, 2)
+            rows = table[: len(value)]
+            rest = np.empty_like(value)
+            digit = np.empty(value.shape, dtype=np.uint8)
+            for k in range(d):  # k-th digit from the right of u and of v
+                np.floor_divide(value, 10, out=rest)
+                np.subtract(value, rest * 10, out=digit, casting="unsafe")
+                digit += ord("0")
+                if k:
+                    digit *= value != 0  # a leading zero stays a zero byte
+                rows[:, d - k] = digit[:, 0]
+                rows[:, 2 * d + 2 - k] = digit[:, 1]
+                value, rest = rest, value
+            if i + _BLOCK_RINGS >= n:
+                rows[-1, -2:] = 0  # no ", " after the last row
+            yield rows.tobytes().replace(b"\0", b"")
+        yield b"]"
 
     @property
     def terminal_cut_vertex(self) -> int | None:
@@ -337,16 +372,6 @@ def generate(n: int, probs: LinkProbabilities, seed: int) -> SpiroChain:
         return SpiroChain(steps + 2, np.frombuffer(_CODES, np.uint8)[indexes].tobytes())
 
 
-def _enum_cap(max_n: int | None) -> int:
-    if max_n is not None:
-        return require_n(max_n, name="max_n")
-    raw = os.environ.get(MAX_ENUM_ENV_VAR, DEFAULT_MAX_ENUM_N)
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidN(f"{MAX_ENUM_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
 def enumerate_all(
     n: int, probs: LinkProbabilities, max_n: int | None = None
 ) -> Iterator[tuple[tuple[LinkType, ...], float]]:
@@ -354,12 +379,11 @@ def enumerate_all(
 
     Weights are the product of the per-link probabilities, computed in the
     numeric type of the inputs (pass Fractions for exact arithmetic); they
-    sum to 1 over the full 3**(n-2) sweep.  The cap guards against runaway
-    sweeps and can be overridden per call or via the SPIRO_MAX_ENUM_N
-    environment variable.
+    sum to 1 over the full 3**(n-2) sweep.  The cap (DEFAULT_MAX_ENUM_N
+    unless max_n is given) guards against runaway sweeps.
     """
     n = require_n(n)
-    cap = _enum_cap(max_n)
+    cap = DEFAULT_MAX_ENUM_N if max_n is None else require_n(max_n, name="max_n")
     if n > cap:
         raise NTooLarge(
             f"n={n} exceeds the enumeration cap {cap} (3**{n - 2} sequences)"

@@ -8,13 +8,11 @@ closed-form layer both work from them.
 
 MolecularGraph validates every graph it builds (ids in range, no
 self-loops, no duplicate edges) and serves as the oracle for the
-closed-form chain profiles.  The JSON edge writer is shared: a graph feeds
-it slices of its edge array, a chain feeds it rows taken from its rings.
+closed-form chain profiles and for the chain's JSON edge writer.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,10 +21,6 @@ import numpy as np
 from .errors import UnsupportedDegree
 
 _EDGE_DTYPE = np.int64
-
-# Rows per block of the JSON edge writer: a block's arrays (~1 MB at
-# six-digit ids) stay in L2 through its digit passes.
-_BLOCK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,58 +104,6 @@ class MolecularGraph:
             "vertices": self.vertex_count,
             "edges": self.edges.tolist(),
         }
-
-    def edges_json(self) -> str:
-        """The edge list as JSON text, equal to json.dumps(self.edges.tolist())."""
-        return b"".join(self._edges_json_blocks()).decode("ascii")
-
-    def _edges_json_blocks(self) -> Iterator[bytes]:
-        """The edge list's JSON text as ASCII byte chunks, in order."""
-        count = self.edge_count
-        blocks = (self.edges[i:i + _BLOCK_ROWS] for i in range(0, count, _BLOCK_ROWS))
-        return _edge_rows_json(blocks, int(self.edges.max()) if count else 0, count)
-
-
-def _edge_rows_json(blocks: Iterable[np.ndarray], top: int, count: int) -> Iterator[bytes]:
-    """JSON text of `count` edge rows, as ASCII byte chunks in order.
-
-    `blocks` yields the rows as (rows, 2) integer arrays of at most
-    _BLOCK_ROWS rows each, with ids in 0..top.  Built in numpy, with no
-    Python object per edge, one block at a time, so that every pass over a
-    block stays in cache.  Every row is laid out as "[u, v], " in one
-    fixed-width byte table reused by all blocks, each id right-aligned in d
-    columns (d digits of top) behind zero bytes; deleting the zero bytes
-    leaves the JSON text of the block.
-    """
-    if not count:
-        yield b"[]"
-        return
-    d = len(str(top))
-    layout = np.frombuffer(b"[" + bytes(d) + b", " + bytes(d) + b"], ", np.uint8)
-    table = np.empty((min(count, _BLOCK_ROWS), layout.size), dtype=np.uint8)
-    table[:] = layout  # every block rewrites all digit columns
-    dtype = np.min_scalar_type(top)
-    done = 0
-    yield b"["
-    for block in blocks:
-        value = block.astype(dtype)
-        rows = table[: len(value)]
-        rest = np.empty_like(value)
-        digit = np.empty(value.shape, dtype=np.uint8)
-        for k in range(d):  # k-th digit from the right of u and of v
-            np.floor_divide(value, 10, out=rest)
-            np.subtract(value, rest * 10, out=digit, casting="unsafe")
-            digit += ord("0")
-            if k:
-                digit *= value != 0  # a leading zero stays a zero byte
-            rows[:, d - k] = digit[:, 0]
-            rows[:, 2 * d + 2 - k] = digit[:, 1]
-            value, rest = rest, value
-        done += len(rows)
-        if done == count:
-            rows[-1, -2:] = 0  # no ", " after the last row
-        yield rows.tobytes().replace(b"\0", b"")
-    yield b"]"
 
 
 @dataclass(frozen=True)

@@ -332,9 +332,11 @@ def test_non_finite_constants_raise_undefined_base(name):
 
 def test_mgf_overflow_is_signalled():
     # exp(t * alpha) overflows; the step's power overflows although its log
-    # is finite; both factors are finite but their product is not; NaN t.
+    # is finite; both factors are finite but their product is not; NaN t;
+    # a numpy t, whose own overflow would warn instead.
     for n, probs, t in ((1000, HALF, 50.0), (10**6, UNIFORM, 1.0),
-                        (3, UNIFORM, 7.0), (10, UNIFORM, math.nan)):
+                        (3, UNIFORM, 7.0), (10, UNIFORM, math.nan),
+                        (10, UNIFORM, np.float64(1e308))):
         with pytest.raises(UndefinedBase, match="mgf .* not finite"):
             mgf(ZAGREB2, n, probs, t)
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -33,8 +34,8 @@ from spirochain import (
     splitmix64,
     vertex_profile,
 )
+from spirochain.chain import _BLOCK_RINGS
 from spirochain.cli import main as cli_main
-from spirochain.graph import _BLOCK_ROWS
 
 UNIFORM = LinkProbabilities.uniform()
 
@@ -222,10 +223,22 @@ def test_every_probability_taker_accepts_tuples(name):
         call((0.5, 0.5, 0.5))
 
 
-@pytest.mark.parametrize("name", list(PROB_TAKERS))
-def test_every_probability_taker_refuses_array_entries(name):
-    with pytest.raises(InvalidProbabilities, match="p_meta=array"):
-        PROB_TAKERS[name]((0.5, np.array([0.25, 0.25]), 0.25))
+NOT_ONE_REAL_NUMBER = {
+    "": (np.array([0.25, 0.25]), "p_meta=array"),
+    "-str": ("0.5", "p_meta='0.5' is not a real number"),
+    "-None": (None, "p_meta=None is not a real number"),
+    "-complex": (0.5j, "p_meta=0.5j is not a real number"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, entry, message",
+    [pytest.param(name, entry, message, id=name + kind)
+     for kind, (entry, message) in NOT_ONE_REAL_NUMBER.items() for name in PROB_TAKERS],
+)
+def test_every_probability_taker_refuses_array_entries(name, entry, message):
+    with pytest.raises(InvalidProbabilities, match=re.escape(message)):
+        PROB_TAKERS[name]((0.5, entry, 0.25))
 
 
 def test_generate_trivial_cases():
@@ -294,20 +307,6 @@ def test_enumeration_cap():
     assert len(list(enumerate_all(4, UNIFORM, max_n=4))) == 9
     with pytest.raises(NTooLarge):
         list(enumerate_all(5, UNIFORM, max_n=4))
-
-
-def test_enumeration_cap_env_override(monkeypatch):
-    monkeypatch.setenv("SPIRO_MAX_ENUM_N", "3")
-    with pytest.raises(NTooLarge):
-        list(enumerate_all(4, UNIFORM))
-    assert len(list(enumerate_all(3, UNIFORM))) == 3
-
-
-@pytest.mark.parametrize("raw", ["4.5", "abc"])
-def test_enumeration_cap_env_must_be_an_integer(monkeypatch, raw):
-    monkeypatch.setenv("SPIRO_MAX_ENUM_N", raw)
-    with pytest.raises(InvalidN, match="SPIRO_MAX_ENUM_N"):
-        list(enumerate_all(4, UNIFORM))
 
 
 def test_link_string_round_trip():
@@ -444,12 +443,16 @@ def test_chain_writer_matches_the_graph_on_replayed_chains(links):
     assert_chain_writes_its_graph(replay(links))
 
 
-@pytest.mark.parametrize("probs", [(0.3, 0.45, 0.25), (1.0, 0.0, 0.0)], ids=["mixed", "ortho"])
-def test_chain_writer_matches_the_graph_on_a_long_chain(probs):
-    assert_chain_writes_its_graph(generate(100_000, probs, 11))
+@pytest.mark.parametrize(
+    "n, probs",
+    [(1000, (0.3, 0.45, 0.25)), (100_000, (0.3, 0.45, 0.25)), (100_000, (1.0, 0.0, 0.0))],
+    ids=["mixed-1000", "mixed", "ortho"],
+)
+def test_chain_writer_matches_the_graph_on_a_long_chain(n, probs):
+    assert_chain_writes_its_graph(generate(n, probs, 11))
 
 
-RING_BLOCK = _BLOCK_ROWS // 6
+RING_BLOCK = _BLOCK_RINGS
 
 
 @pytest.mark.parametrize("n", [RING_BLOCK - 1, RING_BLOCK, RING_BLOCK + 1, 2 * RING_BLOCK + 1])

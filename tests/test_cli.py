@@ -23,6 +23,7 @@ from spirochain import (
     registry_lookup,
 )
 from spirochain import cli, graph
+from spirochain.chain import _BLOCK_RINGS
 from spirochain.cli import main
 
 UNIFORM_FLAGS = []
@@ -405,7 +406,7 @@ def spiro(*argv):
 
 def test_generate_stdout_and_out_file_are_the_same_bytes(tmp_path):
     chain = generate(10_000, LinkProbabilities.uniform(), 3)
-    assert chain.graph.edge_count > graph._BLOCK_ROWS  # more than one edge block
+    assert chain.n > _BLOCK_RINGS  # more than one edge block
     target = tmp_path / "g.json"
     printed = spiro("generate", "--n", "10000", "--seed", "3")
     written = spiro("generate", "--n", "10000", "--seed", "3", "--out", str(target))

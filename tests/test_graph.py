@@ -1,18 +1,13 @@
 """Graph representation and degree profiles."""
 
-import itertools
-import json
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from spirochain import (
     EdgeProfile,
     LinkProbabilities,
-    LinkType,
     MolecularGraph,
     UnsupportedDegree,
     VertexProfile,
@@ -20,10 +15,8 @@ from spirochain import (
     generate,
     hexagon,
     initial_chain,
-    replay,
     vertex_profile,
 )
-from spirochain.graph import _BLOCK_ROWS
 
 
 def naive_degree_profiles(graph):
@@ -152,67 +145,6 @@ def test_profiles_are_pure():
     g = generate(9, LinkProbabilities.uniform(), 3).graph
     assert edge_profile(g) == edge_profile(g)
     assert vertex_profile(g) == vertex_profile(g)
-
-
-def assert_edges_json_matches_dumps(g):
-    assert g.edges_json() == json.dumps(g.edges.tolist())
-
-
-@given(st.lists(st.sampled_from(list(LinkType)), max_size=60))
-def test_edges_json_matches_dumps_on_replayed_chains(links):
-    assert_edges_json_matches_dumps(replay(links).graph)
-
-
-@pytest.mark.parametrize("n", [2, 3, 1000, 100_000])
-def test_edges_json_matches_dumps_on_generated_chains(n):
-    chain = generate(n, LinkProbabilities(0.3, 0.45, 0.25), n)
-    assert_edges_json_matches_dumps(chain.graph)
-
-
-def test_edges_json_matches_dumps_on_small_and_hand_graphs():
-    assert_edges_json_matches_dumps(initial_chain(1).graph)
-    empty = MolecularGraph(0, np.empty((0, 2)))
-    assert empty.edges_json() == "[]" == json.dumps(empty.edges.tolist())
-    assert_edges_json_matches_dumps(MolecularGraph(2, np.array([[1, 0]])))
-    # all pairs of the ids on and next to each power of ten up to 10**6
-    ids = sorted({0, *(p + d for p in (10**k for k in range(7)) for d in (-1, 0, 1))})
-    edges = np.array(list(itertools.combinations(ids, 2))[::-1])
-    assert_edges_json_matches_dumps(MolecularGraph(10**6 + 2, edges))
-
-
-def path_graph(edge_count, first=0):
-    """Path first, first+1, ..., first+edge_count: ids grow along the rows."""
-    ids = np.arange(first, first + edge_count + 1)
-    return MolecularGraph(first + edge_count + 1, np.stack([ids[:-1], ids[1:]], axis=1))
-
-
-@pytest.mark.parametrize(
-    "edge_count", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
-)
-def test_edges_json_matches_dumps_at_block_boundaries(edge_count):
-    g = path_graph(edge_count)
-    assert_edges_json_matches_dumps(g)
-    blocks = list(g._edges_json_blocks())
-    assert len(blocks) == 2 + -(-edge_count // _BLOCK_ROWS)  # "[", the blocks, "]"
-
-
-def test_edges_json_matches_dumps_when_ids_cross_a_power_of_ten_inside_a_block():
-    # ids cross 10**5 at row 1.5 * _BLOCK_ROWS, inside the second block
-    first = 10**5 - _BLOCK_ROWS - _BLOCK_ROWS // 2
-    assert_edges_json_matches_dumps(path_graph(2 * _BLOCK_ROWS + 1, first))
-    # random rows in random order: ids of one to six digits mixed in every block
-    rng = np.random.default_rng(5)
-    pairs = np.sort(rng.integers(0, 10**6, size=(2 * _BLOCK_ROWS + 7, 2)), axis=1)
-    keys = np.unique(pairs, axis=0)
-    keys = keys[keys[:, 0] != keys[:, 1]]
-    assert_edges_json_matches_dumps(MolecularGraph(10**6, rng.permutation(keys)))
-
-
-def test_edges_json_matches_dumps_on_a_long_chain_split_mid_ring():
-    # the generated-chain test above covers n = 10**5 with mixed links
-    assert _BLOCK_ROWS % 6  # block edges fall inside a hexagon's six rows
-    chain = generate(100_000, LinkProbabilities(1.0, 0.0, 0.0), 7)
-    assert_edges_json_matches_dumps(chain.graph)
 
 
 def test_reversed_rows_are_stored_low_high():
