@@ -31,6 +31,7 @@ import contextlib
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -302,8 +303,9 @@ def _coerce_probs(probs) -> LinkProbabilities:
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    """Philox stream keyed directly by the seed (reduced to 64 bits)."""
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    """Philox stream keyed directly by the seed (reduced to 64 bits).  Any
+    integer works, numpy's too; a float or a string raises TypeError."""
+    return np.random.Generator(np.random.Philox(key=operator.index(seed) & _MASK64))
 
 
 def splitmix64(value: int) -> int:
@@ -315,8 +317,9 @@ def splitmix64(value: int) -> int:
 
 
 def replication_seed(seed: int, index: int) -> int:
-    """Derived seed for replication `index`: seed XOR splitmix64(index)."""
-    return (seed & _MASK64) ^ splitmix64(index & _MASK64)
+    """Derived seed for replication `index`: seed XOR splitmix64(index).  Any
+    integer seed works, numpy's too; a float or a string raises TypeError."""
+    return (operator.index(seed) & _MASK64) ^ splitmix64(index & _MASK64)
 
 
 def _replication_streams(seed: int, count: int) -> Iterator[np.random.Generator]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .errors import KindMismatch, MissingExponent, UndefinedBase, UnknownIndex
@@ -129,61 +129,44 @@ def _square_sum(x, y):
     return x * x + y * y
 
 
-@dataclass(frozen=True)
-class _RegistryEntry:
-    kind: IndexKind
-    base: Callable[..., float]
-    exponent: float | None  # None marks a variable-exponent family
-    scale: float = 1.0
-
-
-_REGISTRY: dict[str, _RegistryEntry] = {
-    "first-zagreb": _RegistryEntry(IndexKind.VERTEX, _identity, 2.0),
-    "second-zagreb": _RegistryEntry(IndexKind.EDGE, _product, 1.0),
-    "forgotten": _RegistryEntry(IndexKind.VERTEX, _identity, 3.0),
-    "inverse-degree": _RegistryEntry(IndexKind.VERTEX, _identity, -1.0),
-    "randic": _RegistryEntry(IndexKind.EDGE, _product, -0.5),
-    "sum-connectivity": _RegistryEntry(IndexKind.EDGE, _degree_sum, -0.5),
-    "harmonic": _RegistryEntry(IndexKind.EDGE, _degree_sum, -1.0, scale=2.0),
-    "nirmala": _RegistryEntry(IndexKind.EDGE, _degree_sum, 0.5),
-    "sombor": _RegistryEntry(IndexKind.EDGE, _square_sum, 0.5),
-    "variable-first-zagreb": _RegistryEntry(IndexKind.VERTEX, _identity, None),
-    "variable-sum-connectivity": _RegistryEntry(IndexKind.EDGE, _degree_sum, None),
-}
+# A None exponent marks a variable-exponent family.
+_REGISTRY: dict[str, IndexSpec] = {spec.name: spec for spec in (
+    IndexSpec("first-zagreb", IndexKind.VERTEX, _identity, 2.0),
+    IndexSpec("second-zagreb", IndexKind.EDGE, _product, 1.0),
+    IndexSpec("forgotten", IndexKind.VERTEX, _identity, 3.0),
+    IndexSpec("inverse-degree", IndexKind.VERTEX, _identity, -1.0),
+    IndexSpec("randic", IndexKind.EDGE, _product, -0.5),
+    IndexSpec("sum-connectivity", IndexKind.EDGE, _degree_sum, -0.5),
+    IndexSpec("harmonic", IndexKind.EDGE, _degree_sum, -1.0, scale=2.0),
+    IndexSpec("nirmala", IndexKind.EDGE, _degree_sum, 0.5),
+    IndexSpec("sombor", IndexKind.EDGE, _square_sum, 0.5),
+    IndexSpec("variable-first-zagreb", IndexKind.VERTEX, _identity, None),
+    IndexSpec("variable-sum-connectivity", IndexKind.EDGE, _degree_sum, None),
+)}
 
 REGISTRY_NAMES: tuple[str, ...] = tuple(_REGISTRY)
 VARIABLE_EXPONENT_NAMES: tuple[str, ...] = tuple(
-    name for name, entry in _REGISTRY.items() if entry.exponent is None
+    name for name, spec in _REGISTRY.items() if spec.exponent is None
 )
 EDGE_KIND_NAMES: tuple[str, ...] = tuple(
-    name
-    for name, entry in _REGISTRY.items()
-    if entry.kind is IndexKind.EDGE and entry.exponent is not None
+    name for name, spec in _REGISTRY.items()
+    if spec.kind is IndexKind.EDGE and spec.exponent is not None
 )
 
 
 def registry_lookup(name: str, a: float | None = None) -> IndexSpec:
-    """Fetch a named index; `a` is required exactly for the variable families
-    and must be finite (UndefinedBase otherwise)."""
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        raise UnknownIndex(
-            f"unknown index {name!r}; known: {', '.join(REGISTRY_NAMES)}"
-        )
-    if entry.exponent is None:
-        if a is None:
-            raise MissingExponent(f"{name} requires an exponent")
-        exponent = float(a)
-        if not math.isfinite(exponent):
-            raise UndefinedBase(f"{name}: the exponent a={a!r} is not finite")
-    else:
+    """Fetch a named index: the stored spec, or for the variable families a
+    copy of it at exponent float(a).  `a` is required exactly for the
+    variable families and must be finite (UndefinedBase otherwise)."""
+    spec = _REGISTRY.get(name)
+    if spec is None:
+        raise UnknownIndex(f"unknown index {name!r}; known: {', '.join(REGISTRY_NAMES)}")
+    if spec.exponent is not None:
         if a is not None:
             raise ValueError(f"{name} has a fixed exponent; do not pass one")
-        exponent = entry.exponent
-    return IndexSpec(
-        name=name,
-        kind=entry.kind,
-        base=entry.base,
-        exponent=exponent,
-        scale=entry.scale,
-    )
+        return spec
+    if a is None:
+        raise MissingExponent(f"{name} requires an exponent")
+    if not math.isfinite(float(a)):
+        raise UndefinedBase(f"{name}: the exponent a={a!r} is not finite")
+    return replace(spec, exponent=float(a))

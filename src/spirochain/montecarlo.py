@@ -116,8 +116,7 @@ def simulate(
     with allocating(n):
         for r, rng in enumerate(_replication_streams(seed, reps)):
             ortho[r] = np.count_nonzero(rng.random(steps) < c.p_ortho)
-    # ti2 + ... keeps the two-hexagon chain (steps = 0) exactly at ti2.
-    values = (c.ti2 + c.alpha_meta * steps) + c.B * ortho
+    values = analytics._values(c, steps, ortho)
     values.setflags(write=False)
     ortho.setflags(write=False)
     return SimulationResult(values, ortho, summarize(values))
@@ -167,6 +166,8 @@ def histogram(samples, bins: int) -> HistogramData:
                 lo, hi = float(x.min()), float(x.max())
                 raise NTooLarge(f"the sample's range [{lo!r}, {hi!r}] is too narrow "
                                 f"to split into {bins} bins") from None
+            except IndexError:  # numpy's bin count overflows from 2**63 - 2 up
+                raise NTooLarge(f"bins={bins} is too large for numpy's histogram") from None
         hist = HistogramData(edges=edges, counts=counts)
         hist.densities()
     return hist
@@ -197,7 +198,7 @@ def normality_check(samples) -> NormalityReport:
     Requires at least 100 samples, all finite, whose moments fit in
     float64 (summarize checks).
     """
-    x = np.asarray(samples, dtype=float)
+    x = np.asarray(samples, dtype=float).ravel()
     if x.size < 100:
         raise SampleTooSmall(f"need at least 100 samples, got {x.size}")
     stats = summarize(x)

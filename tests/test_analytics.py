@@ -1,6 +1,8 @@
 """Closed-form moments, exact distribution, MGF, and the centered transform."""
 
+import decimal
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -373,6 +375,46 @@ def test_log_mgf_is_finite_where_mgf_overflows():
                  (10**400, 1e-3)):
         with pytest.raises(UndefinedBase, match="log mgf .* not finite"):
             log_mgf(ZAGREB2, n, UNIFORM, t)
+
+
+ORACLE_SPECS = [registry_lookup(name) for name in
+                ("first-zagreb", "second-zagreb", "randic", "sombor", "nirmala", "harmonic")]
+ORACLE_PROBS = [UNIFORM, HALF, LinkProbabilities(0.3, 0.45, 0.25),
+                *map(LinkProbabilities.from_ortho, (0.0, 1e-9, 1.0))]
+ORACLE_NS = (3, 10, 10**3, 10**4, 10**6)
+ORACLE_TS = tuple(s * t for t in (1e-5, 0.01, 0.1, 1.0) for s in (1, -1))
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.name)
+def test_mgf_log_mgf_and_second_moment_match_a_60_digit_reference(spec):
+    # The reference law: ti2 plus n-2 steps that add alpha_ortho with
+    # probability p_ortho and alpha_meta otherwise, in 60-digit decimal
+    # arithmetic on the exact values of the double constants.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        log_max = decimal.Decimal(sys.float_info.max).ln()
+        for probs in ORACLE_PROBS:
+            c = coefficients(spec, probs)
+            ti2, a_o, a_m, p = map(decimal.Decimal,
+                                   (c.ti2, c.alpha_ortho, c.alpha_meta, c.p_ortho))
+            for n in ORACLE_NS:
+                mean = ti2 + (n - 2) * (a_m + (a_o - a_m) * p)
+                moment = (a_o - a_m) ** 2 * p * (1 - p) * (n - 2) + mean * mean
+                assert rel_close(second_moment(spec, n, probs), float(moment), 1e-15, 0.0)
+            for t in ORACLE_TS:
+                exact_t = decimal.Decimal(t)
+                step = (p * (exact_t * a_o).exp() + (1 - p) * (exact_t * a_m).exp()).ln()
+                for n in ORACLE_NS:
+                    log = exact_t * ti2 + (n - 2) * step
+                    case = (spec.name, probs, n, t)
+                    assert rel_close(log_mgf(spec, n, probs, t), float(log), 1e-15, 0.0), case
+                    if log > log_max:
+                        with pytest.raises(UndefinedBase, match="mgf .* not finite"):
+                            mgf(spec, n, probs, t)
+                        continue
+                    exact = float(log.exp())  # 0.0 where it underflows
+                    got = mgf(spec, n, probs, t)
+                    assert abs(got - exact) <= 1e-13 * exact + math.ulp(0.0), case
 
 
 def test_standardize_uses_the_closed_form_moments_exactly():

@@ -49,6 +49,9 @@ def test_other_counts_too_large_are_named():
         simulate(RANDIC, 10, UNIFORM, HUGE, 0)
     with pytest.raises(NTooLarge, match=r"bins=1000+ is too large"):
         histogram([0.0, 1.0], HUGE)
+    for bins in (2**63 - 1, 2**63):  # numpy fails on its count of edges, allocating nothing
+        with pytest.raises(NTooLarge, match=rf"bins={bins} is too large"):
+            histogram([0.0, 1.0], bins)
 
 
 @pytest.mark.parametrize("argv", [
@@ -93,8 +96,9 @@ def test_cli_beyond_memory_exits_2(argv):
 
 def test_cli_histogram_beyond_numpy_limits_exits_2(capsys, tmp_path):
     path = tmp_path / "h.csv"
-    code = main(["simulate", "--index", "randic", "--n", "10", "--reps", "5",
-                 "--bins", str(HUGE), "--histogram-out", str(path)])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert "bins=1000" in captured.err and not path.exists()
+    for bins in (HUGE, 2**63 - 1, 2**63):
+        code = main(["simulate", "--index", "randic", "--n", "10", "--reps", "5",
+                     "--bins", str(bins), "--histogram-out", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert f"bins={bins}" in captured.err and not path.exists()

@@ -337,6 +337,17 @@ def test_replication_seeds_are_distinct_64_bit():
     assert all(0 <= s < 2**64 for s in seeds)
 
 
+def test_numpy_integer_seeds_key_the_streams_of_the_python_ints():
+    assert generate(20, UNIFORM, np.int64(-1)).codes == generate(20, UNIFORM, -1).codes
+    assert replication_seed(np.int64(-1), 3) == replication_seed(-1, 3)
+    assert replication_seed(np.uint64(2**64 - 1), 3) == replication_seed(-1, 3)
+    for seed in (1.0, np.float64(1.0), "1"):
+        with pytest.raises(TypeError):
+            generate(5, UNIFORM, seed)
+        with pytest.raises(TypeError):
+            replication_seed(seed, 0)
+
+
 def _assert_closed_form_profiles(chain):
     assert chain.edge_profile() == edge_profile(chain.graph)
     assert chain.vertex_profile() == vertex_profile(chain.graph)

@@ -1,15 +1,20 @@
 """Command-line interface: flags, outputs, formats, and exit codes."""
 
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spirochain
 from spirochain import (
@@ -24,7 +29,8 @@ from spirochain import (
 )
 from spirochain import cli, graph
 from spirochain.chain import _BLOCK_RINGS
-from spirochain.cli import main
+from spirochain.cli import COMMANDS, main
+from spirochain.indices import REGISTRY_NAMES, VARIABLE_EXPONENT_NAMES
 
 UNIFORM_FLAGS = []
 
@@ -421,3 +427,47 @@ def test_generate_unwritable_out_exits_2_and_leaves_no_file(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert b"--out: cannot write" in proc.stderr
     assert not target.parent.exists()
+
+
+# Counts up to 10**4 run in full; the powers of ten from 10**19 are past
+# the int64 range, and from 10**309 past the double range.  Bin counts from
+# 2**63 - 1 overflow numpy's intp.
+_COUNTS = st.integers(2, 10**4) | st.sampled_from([10**k for k in range(19, 401)])
+_BINS = st.integers(1, 10**4) | st.integers(2**63 - 1, 2**63 + 10)
+
+
+@st.composite
+def _spiro_argv(draw):
+    """A `spiro` argv; "{dir}" in it stands for an empty scratch directory.
+    Values follow an `=`, as argparse would read one such as -1e-05 as a flag."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    argv = [command, f"--n={draw(_COUNTS)}"]
+    if command not in ("generate", "compare"):
+        index = draw(st.sampled_from(REGISTRY_NAMES))
+        argv.append(f"--index={index}")
+        if index in VARIABLE_EXPONENT_NAMES:
+            argv.append(f"--a={draw(st.floats(-600, 600) | st.sampled_from([math.inf]))!r}")
+    if command in ("generate", "compute", "simulate"):
+        argv.append(f"--seed={draw(st.integers(-2**70, 2**70))}")
+    if draw(st.booleans()):
+        argv.append(f"--p-ortho={draw(st.floats(-0.5, 1.5))!r}")
+    if command == "simulate":
+        argv += [f"--reps={draw(st.integers(1, 200))}", f"--bins={draw(_BINS)}",
+                 "--histogram-out={dir}/h.csv", "--samples-out={dir}/s.csv"]
+        if draw(st.booleans()):
+            argv.append("--standardize")
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spiro_argv())
+@example(["distribution", "--index", "first-zagreb", "--n", str(10**400)])
+@example(["simulate", "--index", "randic", "--n", "10", "--reps", "3",
+          "--bins", str(2**63 - 1), "--histogram-out", "{dir}/h.csv"])
+def test_no_argv_reaches_an_internal_error(argv):
+    with tempfile.TemporaryDirectory() as scratch:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([arg.replace("{dir}", scratch) for arg in argv])
+        assert code in (0, 2, 3), err.getvalue()
+        assert code == 0 or not os.listdir(scratch)

@@ -2,7 +2,9 @@
 
 At n = 10**308 the second-Zagreb moments overflow to inf; at n = 10**400
 n - 2 itself does not convert to a double.  Both are signalled the same way,
-and the CLI reports them as validation failures (exit 2).
+and the CLI reports them as validation failures (exit 2).  The first Zagreb
+index is deterministic on chains, so its exact distribution is one atom at
+the mean, which overflows from n = 10**307.
 """
 
 import pytest
@@ -11,6 +13,7 @@ from spirochain import (
     LinkProbabilities,
     UndefinedBase,
     compare_expectations,
+    exact_distribution,
     expected_value,
     registry_lookup,
     second_moment,
@@ -40,9 +43,18 @@ def test_closed_forms_at_huge_n_raise_undefined_base(law, case):
         law(registry_lookup(name), n)
 
 
+@pytest.mark.parametrize("n", [10**307, 10**400], ids=["1e307", "1e400"])
+@pytest.mark.parametrize("law", [expected_value, second_moment, exact_distribution],
+                         ids=lambda law: law.__name__)
+def test_first_zagreb_laws_at_huge_n_raise_undefined_base(law, n):
+    with pytest.raises(UndefinedBase, match="not finite"):
+        law(registry_lookup("first-zagreb"), n, UNIFORM)
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--index", "randic"],
     ["compare"],
+    ["distribution", "--index", "first-zagreb"],
 ])
 def test_cli_at_huge_n_exits_2(capsys, argv):
     code = main([*argv, "--n", str(10**400)])

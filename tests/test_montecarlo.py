@@ -158,6 +158,7 @@ def test_normality_check_on_true_normal_sample():
     assert report.passed
     reference = scipy.stats.kstest(draws, "norm").statistic
     assert math.isclose(report.ks_statistic, reference, rel_tol=1e-9)
+    assert normality_check(draws.reshape(50, 100)) == report
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.05, -1.5])
