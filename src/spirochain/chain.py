@@ -115,7 +115,10 @@ class LinkProbabilities:
     @classmethod
     def from_ortho(cls, p_ortho: float) -> "LinkProbabilities":
         """Split the remainder equally between meta and para."""
-        rest = (1 - p_ortho) / 2
+        try:
+            rest = (1 - p_ortho) / 2
+        except TypeError:
+            raise InvalidProbabilities(f"p_ortho={p_ortho!r} is not a real number") from None
         return cls(p_ortho, rest, rest)
 
     def as_tuple(self) -> tuple[float, float, float]:
@@ -298,8 +301,15 @@ def allocating(n: int, name: str = "n"):
 
 
 def _coerce_probs(probs) -> LinkProbabilities:
-    """Accept a LinkProbabilities or any (p_ortho, p_meta, p_para) triple."""
-    return probs if isinstance(probs, LinkProbabilities) else LinkProbabilities(*probs)
+    """Accept a LinkProbabilities or any (p_ortho, p_meta, p_para) triple;
+    anything else raises InvalidProbabilities."""
+    if isinstance(probs, LinkProbabilities):
+        return probs
+    try:
+        p_ortho, p_meta, p_para = probs
+    except (TypeError, ValueError):
+        raise InvalidProbabilities(f"{probs!r} is not a probability triple") from None
+    return LinkProbabilities(p_ortho, p_meta, p_para)
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:

@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -45,6 +46,10 @@ EXIT_DEGENERATE = 3
 EXIT_INTERNAL = 4
 
 _PROB_SUM_TOL = 1e-9
+
+# argparse's own matcher (`^-\d+$|^-\d*\.\d+$` in 3.11) reads a value such
+# as -1e-3 or -inf as a flag, so `--a -1e-3` would fail; this one takes them.
+_NEGATIVE_NUMBER = re.compile(r"-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?)$", re.I)
 
 _NON_FINITE = "the result is not finite: the index values overflow the double range"
 
@@ -336,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, default_format, to_csv, handler) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         for flag, options in (*flags, *_PROB_FLAGS):
             p.add_argument(flag, **options)
         p.add_argument("--out", type=Path, help="output file (default: stdout)")

@@ -167,6 +167,10 @@ def registry_lookup(name: str, a: float | None = None) -> IndexSpec:
         return spec
     if a is None:
         raise MissingExponent(f"{name} requires an exponent")
-    if not math.isfinite(float(a)):
+    try:
+        exponent = float(a)
+    except OverflowError:  # an integer beyond the double range
+        exponent = math.inf
+    if not math.isfinite(exponent):
         raise UndefinedBase(f"{name}: the exponent a={a!r} is not finite")
-    return replace(spec, exponent=float(a))
+    return replace(spec, exponent=exponent)

@@ -241,6 +241,19 @@ def test_every_probability_taker_refuses_array_entries(name, entry, message):
         PROB_TAKERS[name]((0.5, entry, 0.25))
 
 
+NOT_A_TRIPLE = {"pair": (0.5, 0.5), "quadruple": (0.25,) * 4, "None": None, "float": 0.5}
+
+
+@pytest.mark.parametrize(
+    "name, probs",
+    [pytest.param(name, probs, id=f"{name}-{kind}")
+     for kind, probs in NOT_A_TRIPLE.items() for name in PROB_TAKERS],
+)
+def test_every_probability_taker_refuses_what_is_not_a_triple(name, probs):
+    with pytest.raises(InvalidProbabilities, match=re.escape(f"{probs!r} is not a")):
+        PROB_TAKERS[name](probs)
+
+
 def test_generate_trivial_cases():
     assert generate(2, UNIFORM, 123).links == ()
     degenerate = generate(10, LinkProbabilities(1.0, 0.0, 0.0), 5)
@@ -273,6 +286,9 @@ def test_probability_validation():
     assert LinkProbabilities.from_ortho(1.0) == LinkProbabilities(1.0, 0.0, 0.0)
     rest = LinkProbabilities.from_ortho(0.5)
     assert rest.p_meta == rest.p_para == 0.25
+    for p in ("0.2", None):
+        with pytest.raises(InvalidProbabilities, match=re.escape(f"p_ortho={p!r} is not a")):
+            LinkProbabilities.from_ortho(p)
 
 
 def test_enumeration_counts_and_weights():

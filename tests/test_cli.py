@@ -348,6 +348,16 @@ def test_non_finite_exponent_exits_2_naming_it(capsys, argv):
     assert "exponent a=" in err and "is not finite" in err
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-1E+2", "-.5e1", "-0.001"])
+def test_a_negative_number_reads_the_same_after_a_space_or_an_equals_sign(capsys, value):
+    analyze = ("analyze", "--index", "variable-first-zagreb", "--n", "10")
+    spaced = run(capsys, *analyze, "--a", value)
+    joined = run(capsys, *analyze, f"--a={value}")
+    assert spaced == joined and spaced[0] == 0 and spaced[1]
+    code, out, err = run(capsys, *analyze, "--a", "1", "--p-ortho", value)
+    assert (code, out) == (2, "") and f"p_ortho={float(value)!r} is outside [0, 1]" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--format", "json"],
     ["analyze", "--format", "csv"],
@@ -439,18 +449,23 @@ _BINS = st.integers(1, 10**4) | st.integers(2**63 - 1, 2**63 + 10)
 @st.composite
 def _spiro_argv(draw):
     """A `spiro` argv; "{dir}" in it stands for an empty scratch directory.
-    Values follow an `=`, as argparse would read one such as -1e-05 as a flag."""
+    A real value follows its flag after either a space or an `=`."""
     command = draw(st.sampled_from(list(COMMANDS)))
     argv = [command, f"--n={draw(_COUNTS)}"]
+
+    def real(flag, values):
+        value = repr(draw(values))
+        argv.extend(draw(st.sampled_from([[flag, value], [f"{flag}={value}"]])))
+
     if command not in ("generate", "compare"):
         index = draw(st.sampled_from(REGISTRY_NAMES))
         argv.append(f"--index={index}")
         if index in VARIABLE_EXPONENT_NAMES:
-            argv.append(f"--a={draw(st.floats(-600, 600) | st.sampled_from([math.inf]))!r}")
+            real("--a", st.floats(-600, 600) | st.sampled_from([math.inf, -math.inf]))
     if command in ("generate", "compute", "simulate"):
         argv.append(f"--seed={draw(st.integers(-2**70, 2**70))}")
     if draw(st.booleans()):
-        argv.append(f"--p-ortho={draw(st.floats(-0.5, 1.5))!r}")
+        real("--p-ortho", st.floats(-0.5, 1.5))
     if command == "simulate":
         argv += [f"--reps={draw(st.integers(1, 200))}", f"--bins={draw(_BINS)}",
                  "--histogram-out={dir}/h.csv", "--samples-out={dir}/s.csv"]

@@ -1,0 +1,46 @@
+"""The package's export table: each public name is listed once, is bound to
+its module's object, and nothing else public reaches the package."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import spirochain
+
+SUBMODULES = ("analytics", "chain", "errors", "graph", "indices", "montecarlo")
+
+
+def test_no_name_appears_twice_in_the_table():
+    names = [name for names in spirochain._EXPORTS.values() for name in names]
+    assert len(names) == len(set(names))
+    assert spirochain.__all__ == [*names, "__version__"]
+
+
+def test_every_export_is_the_attribute_of_its_own_module():
+    assert tuple(spirochain._EXPORTS) == SUBMODULES
+    for module, names in spirochain._EXPORTS.items():
+        owner = importlib.import_module(f"spirochain.{module}")
+        for name in names:
+            assert getattr(spirochain, name) is getattr(owner, name), f"{module}.{name}"
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from spirochain import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(spirochain.__all__)
+
+
+def test_no_helper_leaks_into_the_package_namespace():
+    # A fresh interpreter: importing spirochain.cli elsewhere binds `cli`.
+    src = str(Path(spirochain.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import spirochain; print(' '.join(sorted(vars(spirochain))))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    public = {name for name in proc.stdout.split() if not name.startswith("_")}
+    assert public == set(spirochain.__all__) - {"__version__"} | set(SUBMODULES)

@@ -55,7 +55,9 @@ def test_registry_errors():
         registry_lookup("randic", a=2.0)
 
 
-@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "a", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")]
+)
 def test_registry_refuses_a_non_finite_exponent(a):
     with pytest.raises(UndefinedBase, match=rf"a={a!r} is not finite"):
         registry_lookup("variable-sum-connectivity", a)
