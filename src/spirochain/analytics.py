@@ -26,9 +26,8 @@ import numpy as np
 
 from .chain import (
     LinkProbabilities, _coerce_probs, allocating, chain_edge_profile, chain_vertex_profile,
-    require_n,
 )
-from .errors import DegenerateVariance, UndefinedBase
+from .errors import DegenerateVariance, UndefinedBase, require_n
 from .indices import IndexKind, IndexSpec, evaluate_from_profile, registry_lookup
 
 # Relative gap between the ortho and meta increments below which an index
@@ -198,12 +197,15 @@ class DiscreteDistribution:
         pmf = np.asarray(self.pmf, dtype=float)
         if support.shape != pmf.shape or support.ndim != 1 or support.size == 0:
             raise ValueError("support and pmf must be matching 1-d arrays")
-        if np.any(pmf < 0):
+        # Each check is written to fail on NaN.
+        if not np.all(pmf >= 0):
             raise ValueError("probabilities must be non-negative")
-        if abs(float(pmf.sum()) - 1.0) > 1e-12:
+        if not abs(float(pmf.sum()) - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {pmf.sum()!r}, expected 1")
-        if np.any(np.diff(support) <= 0):
+        if not np.all(np.diff(support) > 0):
             raise ValueError("support values must be strictly increasing")
+        if not np.all(np.isfinite(support)):
+            raise ValueError("support values must be finite")
         support.setflags(write=False)
         pmf.setflags(write=False)
         object.__setattr__(self, "support", support)

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ChainTooShort, InvalidN, InvalidProbabilities, NTooLarge
+from .errors import ChainTooShort, InvalidN, InvalidProbabilities, NTooLarge, require_n
 from .graph import EdgeProfile, MolecularGraph, VertexProfile, _EDGE_DTYPE
 
 GENERATOR_ALGORITHM = "philox4x64-10"
@@ -282,14 +282,6 @@ def replay(links: str | Iterable[LinkType]) -> SpiroChain:
     return SpiroChain(len(codes) + 2, codes)
 
 
-def require_n(n, minimum: int = 2, name: str = "n") -> int:
-    """Validate a count (hexagons, replications, bins, ...): an integer,
-    not a bool, >= minimum; `name` labels it in the InvalidN message."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < minimum:
-        raise InvalidN(f"{name} must be an integer >= {minimum}, got {n!r}")
-    return int(n)
-
-
 @contextlib.contextmanager
 def allocating(n: int, name: str = "n"):
     """Report numpy's refusal to build an array sized by n (a size
@@ -342,18 +334,10 @@ def _replication_streams(seed: int, count: int) -> Iterator[np.random.Generator]
     override it.  The same Generator is yielded every time, so a stream is
     valid only until the next step.
     """
-    rng = np.random.Generator(np.random.Philox(key=0))
-    key = np.zeros(2, dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    rng = rng_from_seed(0)
+    state = rng.bit_generator.state
     for r in range(count):
-        key[0] = replication_seed(seed, r)
+        state["state"]["key"][0] = replication_seed(seed, r)
         rng.bit_generator.state = state
         yield rng
 

@@ -32,9 +32,8 @@ from .chain import (
     LinkProbabilities,
     generate,
     replay,
-    require_n,
 )
-from .errors import DegenerateVariance, MissingExponent, SpiroChainError
+from .errors import DegenerateVariance, MissingExponent, SpiroChainError, require_n
 from .indices import (
     REGISTRY_NAMES, VARIABLE_EXPONENT_NAMES, IndexKind, evaluate_from_profile,
     registry_lookup,

@@ -1,4 +1,6 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the one count check."""
+
+import operator
 
 
 class SpiroChainError(Exception):
@@ -15,6 +17,17 @@ class ChainTooShort(SpiroChainError):
 
 class InvalidN(SpiroChainError, ValueError):
     """A count (hexagons, replications, bins, ...) outside its admissible range."""
+
+
+def require_n(n, minimum: int = 2, name: str = "n") -> int:
+    """Validate a count (hexagons, replications, bins, ...): an integer, numpy's
+    too, not a bool, >= minimum; `name` labels it in the InvalidN message."""
+    try:
+        if not isinstance(n, bool) and (value := operator.index(n)) >= minimum:
+            return value
+    except TypeError:  # not an integer
+        pass
+    raise InvalidN(f"{name} must be an integer >= {minimum}, got {n!r}")
 
 
 class InvalidProbabilities(SpiroChainError):

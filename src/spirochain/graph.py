@@ -6,7 +6,7 @@ vertices carry each degree, and how many edges join each degree pair.  The
 profile helpers extract those counts once; index evaluation and the
 closed-form layer both work from them.
 
-MolecularGraph validates every graph it builds (ids in range, no
+MolecularGraph validates every graph it builds (integer ids in range, no
 self-loops, no duplicate edges) and serves as the oracle for the
 closed-form chain profiles and for the chain's JSON edge writer.
 """
@@ -18,9 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import UnsupportedDegree
+from .errors import NTooLarge, UnsupportedDegree, require_n
 
 _EDGE_DTYPE = np.int64
+
+_MAX_VERTICES = 3_037_000_499  # isqrt(2**63 - 1): edge keys and pair codes fit in int64
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,21 +38,29 @@ class MolecularGraph:
     edges: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 0:
-            raise ValueError("vertex_count must be non-negative")
-        edges = np.asarray(self.edges, dtype=_EDGE_DTYPE).reshape(-1, 2)
+        count = require_n(self.vertex_count, minimum=0, name="vertex_count")
+        if count > _MAX_VERTICES:
+            raise NTooLarge(
+                f"vertex_count={count} exceeds {_MAX_VERTICES}, above which "
+                "the int64 edge keys overflow"
+            )
+        edges = np.asarray(self.edges)
+        if edges.size and edges.dtype.kind not in "iu":
+            raise ValueError("edge endpoints must be integers")
+        edges = edges.astype(_EDGE_DTYPE, copy=False).reshape(-1, 2)
         u, v = edges[:, 0], edges[:, 1]  # column-wise: an axis-1 sort is slower
         edges = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=-1)
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= self.vertex_count:
-                raise ValueError("edge endpoint out of range")
-            if np.any(edges[:, 0] == edges[:, 1]):
-                raise ValueError("self-loops are not allowed")
-            keys = np.sort(edges[:, 0] * self.vertex_count + edges[:, 1])
-            if np.any(keys[1:] == keys[:-1]):
-                raise ValueError("duplicate edges are not allowed")
+        if edges.size and (edges.min() < 0 or edges.max() >= count):
+            raise ValueError("edge endpoint out of range")
+        if np.any(edges[:, 0] == edges[:, 1]):
+            raise ValueError("self-loops are not allowed")
+        # The sorted keys u * V + v are both the duplicate check and __eq__'s.
+        keys = np.sort(edges[:, 0] * count + edges[:, 1])
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("duplicate edges are not allowed")
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_keys", keys)
 
     @property
     def edge_count(self) -> int:
@@ -85,18 +95,11 @@ class MolecularGraph:
             for code, c in zip(encoded, counts)
         }
 
-    @cached_property
-    def _edge_keys(self) -> np.ndarray:
-        return np.sort(self.edges[:, 0] * (self.vertex_count + 1) + self.edges[:, 1])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MolecularGraph):
             return NotImplemented
-        return (
-            self.vertex_count == other.vertex_count
-            and self.edge_count == other.edge_count
-            and bool(np.array_equal(self._edge_keys, other._edge_keys))
-        )
+        same_count = self.vertex_count == other.vertex_count
+        return same_count and bool(np.array_equal(self._keys, other._keys))
 
     def to_dict(self) -> dict:
         """JSON-ready form: {"vertices": V, "edges": [[u, v], ...]}."""

@@ -24,18 +24,12 @@ class IndexKind(enum.Enum):
 
 @dataclass(frozen=True)
 class IndexSpec:
-    """One index: a base function raised to a fixed exponent and summed.
-
-    `scale` multiplies the final sum; it exists for catalog entries defined
-    as a multiple of the raw sum (the harmonic index is twice the raw sum
-    for f(x, y) = x + y at exponent -1).
-    """
+    """One index: a base function raised to a fixed exponent and summed."""
 
     name: str
     kind: IndexKind
     base: Callable[..., float]
     exponent: float
-    scale: float = 1.0
 
 
 def _power_term(spec: IndexSpec, *degrees: int) -> float:
@@ -60,15 +54,15 @@ def _power_term(spec: IndexSpec, *degrees: int) -> float:
 
 
 def _weighted_sum(spec: IndexSpec, counts: dict[tuple[int, ...], int]) -> float:
-    """scale * sum of count * term over the degree keys with a nonzero
-    count, in sorted key order.
+    """Sum of count * term over the degree keys with a nonzero count, in
+    sorted key order.
 
     Raises UndefinedBase when the sum overflows the double range.
     """
-    total = spec.scale * sum(
-        count * _power_term(spec, *degrees)
-        for degrees, count in sorted(counts.items())
-        if count
+    total = sum(
+        (count * _power_term(spec, *degrees)
+         for degrees, count in sorted(counts.items()) if count),
+        0.0,
     )
     if not math.isfinite(total):
         raise UndefinedBase(
@@ -129,6 +123,10 @@ def _square_sum(x, y):
     return x * x + y * y
 
 
+def _inverse_mean(x, y):
+    return 2 / (x + y)
+
+
 # A None exponent marks a variable-exponent family.
 _REGISTRY: dict[str, IndexSpec] = {spec.name: spec for spec in (
     IndexSpec("first-zagreb", IndexKind.VERTEX, _identity, 2.0),
@@ -137,7 +135,7 @@ _REGISTRY: dict[str, IndexSpec] = {spec.name: spec for spec in (
     IndexSpec("inverse-degree", IndexKind.VERTEX, _identity, -1.0),
     IndexSpec("randic", IndexKind.EDGE, _product, -0.5),
     IndexSpec("sum-connectivity", IndexKind.EDGE, _degree_sum, -0.5),
-    IndexSpec("harmonic", IndexKind.EDGE, _degree_sum, -1.0, scale=2.0),
+    IndexSpec("harmonic", IndexKind.EDGE, _inverse_mean, 1.0),
     IndexSpec("nirmala", IndexKind.EDGE, _degree_sum, 0.5),
     IndexSpec("sombor", IndexKind.EDGE, _square_sum, 0.5),
     IndexSpec("variable-first-zagreb", IndexKind.VERTEX, _identity, None),

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .chain import LinkProbabilities, _replication_streams, allocating, require_n
-from .errors import EmptySample, NonFiniteSample, NTooLarge, SampleTooSmall
+from .chain import LinkProbabilities, _replication_streams, allocating
+from .errors import EmptySample, NonFiniteSample, NTooLarge, SampleTooSmall, require_n
 from .indices import IndexSpec
 
 _TRAJECTORY_BLOCK = 8192

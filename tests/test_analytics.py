@@ -275,6 +275,16 @@ def test_distribution_validation():
         DiscreteDistribution(np.array([2.0, 1.0]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         DiscreteDistribution(np.array([1.0, 2.0]), np.array([1.5, -0.5]))
+    for support, pmf in (
+        ([1.0, math.nan], [0.5, 0.5]),
+        ([math.nan, 1.0], [0.5, 0.5]),
+        ([1.0, 2.0], [math.nan, 1.0]),
+        ([1.0, 2.0], [math.inf, 0.5]),
+        ([1.0, math.inf], [0.5, 0.5]),
+        ([-math.inf, 1.0], [0.5, 0.5]),
+    ):
+        with pytest.raises(ValueError):
+            DiscreteDistribution(np.array(support), np.array(pmf))
 
 
 def test_mgf_at_zero_is_one():

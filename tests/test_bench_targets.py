@@ -6,11 +6,15 @@ in the package would otherwise surface only in a traced benchmark run.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_targets():
@@ -31,3 +35,19 @@ def test_tracer_target_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_import_spirochain_loads_every_traced_module():
+    """The tracer's install skips, without an error, every target whose
+    module is not yet loaded.  The benchmark worker installs it after
+    `import spirochain`, importing spirochain.cli itself only for the
+    workloads that run the CLI."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys, spirochain; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    traced = {module for _, module, _, _ in TARGETS} - {"spirochain.cli"}
+    assert traced <= set(proc.stdout.split())

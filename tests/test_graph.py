@@ -7,8 +7,10 @@ import pytest
 
 from spirochain import (
     EdgeProfile,
+    InvalidN,
     LinkProbabilities,
     MolecularGraph,
+    NTooLarge,
     UnsupportedDegree,
     VertexProfile,
     edge_profile,
@@ -115,6 +117,27 @@ def test_graph_validation():
     reversed_dup = np.vstack([long.edges, long.edges[-1, ::-1]])
     with pytest.raises(ValueError, match="duplicate"):
         MolecularGraph(long.vertex_count, reversed_dup)
+    for count in (-1, 3.5, True, "3", None):
+        with pytest.raises(InvalidN, match="vertex_count"):
+            MolecularGraph(count, np.array([[0, 1]]))
+    for edges in ([[0.9, 2.7]], [[True, False]], [[0, 2**70]], [[0, 1.0]]):
+        with pytest.raises(ValueError, match="edge endpoints must be integers"):
+            MolecularGraph(3, edges)
+    assert MolecularGraph(3, []).edge_count == 0
+    assert MolecularGraph(3, np.empty((0, 2))).edge_count == 0
+    assert MolecularGraph(np.int64(3), [[0, 1]]) == MolecularGraph(3, [[1, 0]])
+
+
+def test_vertex_count_bound_keeps_edge_keys_in_int64():
+    # 4 * 2**62 wraps to 0 in int64, so edge (4, 5) took the key of edge (0, 5).
+    with pytest.raises(NTooLarge, match="vertex_count"):
+        MolecularGraph(2**62, [[0, 5], [4, 5]])
+    top = 3_037_000_499  # isqrt(2**63 - 1)
+    with pytest.raises(NTooLarge, match="vertex_count"):
+        MolecularGraph(top + 1, [[0, 1]])
+    g = MolecularGraph(top, [[top - 2, top - 1], [0, top - 1]])
+    assert g.edge_count == 2
+    assert g == MolecularGraph(top, [[top - 1, 0], [top - 1, top - 2]])
 
 
 def test_graph_is_immutable():
