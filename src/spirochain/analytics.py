@@ -27,7 +27,7 @@ import numpy as np
 from .chain import (
     LinkProbabilities, _coerce_probs, allocating, chain_edge_profile, chain_vertex_profile,
 )
-from .errors import DegenerateVariance, UndefinedBase, require_n
+from .errors import DegenerateVariance, NonFiniteSample, UndefinedBase, require_n
 from .indices import IndexKind, IndexSpec, evaluate_from_profile, registry_lookup
 
 # Relative gap between the ortho and meta increments below which an index
@@ -111,11 +111,11 @@ def coefficients(spec: IndexSpec, probs: LinkProbabilities) -> ChainCoefficients
 
 
 def _finite(law):
-    """Make a closed form in (coefficients, n, *args) raise UndefinedBase when
-    its value, or n itself, does not fit the double range."""
+    """Make a closed form in (coefficients, n, *args) check n (require_n) and
+    raise UndefinedBase when its value, or n itself, does not fit the double range."""
     def checked(c: ChainCoefficients, n: int, *args) -> float:
         try:
-            value = law(c, n, *args)
+            value = law(c, require_n(n), *args)
         except OverflowError:  # n - 2 does not convert to a double, or exp() overflows
             value = math.inf
         if not math.isfinite(value):
@@ -166,19 +166,16 @@ def _values(c: ChainCoefficients, steps: int, k):
 
 def expected_value(spec: IndexSpec, n: int, probs: LinkProbabilities) -> float:
     """Mean index value over random chains with n hexagons."""
-    n = require_n(n)
     return _mean(coefficients(spec, probs), n)
 
 
 def variance(spec: IndexSpec, n: int, probs: LinkProbabilities) -> float:
     """Variance of the index value over random chains with n hexagons."""
-    n = require_n(n)
     return _variance(coefficients(spec, probs), n)
 
 
 def second_moment(spec: IndexSpec, n: int, probs: LinkProbabilities) -> float:
     """Mean of the squared index value over random chains with n hexagons."""
-    n = require_n(n)
     return _second_moment(coefficients(spec, probs), n)
 
 
@@ -206,14 +203,16 @@ class DiscreteDistribution:
             raise ValueError("support values must be strictly increasing")
         if not np.all(np.isfinite(support)):
             raise ValueError("support values must be finite")
-        support.setflags(write=False)
-        pmf.setflags(write=False)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "pmf", pmf)
-        if self.ortho_counts is not None:
-            counts = np.asarray(self.ortho_counts, dtype=np.int64)
-            counts.setflags(write=False)
-            object.__setattr__(self, "ortho_counts", counts)
+        if (counts := self.ortho_counts) is not None:
+            counts = np.asarray(counts)
+            if counts.dtype.kind in "iu":  # a uint64 from 2**63 up wraps negative
+                counts = counts.astype(np.int64, copy=False)
+            if counts.dtype != np.int64 or counts.shape != support.shape or (counts < 0).any():
+                raise ValueError("need one non-negative integer ortho count per support point")
+        for name, array in (("support", support), ("pmf", pmf), ("ortho_counts", counts)):
+            if array is not None:
+                array.setflags(write=False)
+                object.__setattr__(self, name, array)
 
     def mean(self) -> float:
         return float(np.dot(self.pmf, self.support))
@@ -278,7 +277,6 @@ def mgf(spec: IndexSpec, n: int, probs: LinkProbabilities, t: float) -> float:
     1e-13 relative of a 60-digit reference.  Raises UndefinedBase where it
     overflows the double range (or t is NaN, or n is beyond the double range).
     """
-    n = require_n(n)
     return _mgf(coefficients(spec, probs), n, float(t))
 
 
@@ -289,24 +287,31 @@ def log_mgf(spec: IndexSpec, n: int, probs: LinkProbabilities, t: float) -> floa
     1e-15 relative of a 60-digit reference.  Raises UndefinedBase when the
     result is not finite (or t is NaN, or n is beyond the double range).
     """
-    n = require_n(n)
     return _finite(_log_mgf)(coefficients(spec, probs), n, float(t))
+
+
+def _require_finite(result, what: str):
+    """Return `result` unless it holds NaN or infinity, as any non-finite input makes it."""
+    if not np.isfinite(result).all():
+        raise NonFiniteSample(f"cannot {what}: a value or its result is NaN or infinite")
+    return result
 
 
 def standardize(value, spec: IndexSpec, n: int, probs: LinkProbabilities):
     """Center by the closed-form mean and scale by the closed-form sd.
 
     Accepts a scalar or an array of values.  Raises DegenerateVariance for
-    deterministic indices, n = 2, or boundary probabilities.
+    deterministic indices, n = 2, or boundary probabilities, and
+    NonFiniteSample when a value or its standardized value is not finite.
     """
-    n = require_n(n)
     c = coefficients(spec, probs)
     var = _variance(c, n)
     if var <= 0 or c.deterministic:
         raise DegenerateVariance(
             f"{spec.name} has zero variance at n={n}, p_ortho={c.p_ortho}"
         )
-    return (value - _mean(c, n)) / math.sqrt(var)
+    with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
+        return _require_finite((value - _mean(c, n)) / math.sqrt(var), "standardize")
 
 
 def martingale_transform(
@@ -317,11 +322,12 @@ def martingale_transform(
     `trajectory` holds index values of one growing chain, starting at the
     two-hexagon seed; entry j corresponds to j growth steps.  The result has
     conditionally mean-zero increments, which is what the residual check in
-    the Monte Carlo layer verifies empirically.
+    the Monte Carlo layer verifies empirically.  Raises NonFiniteSample when
+    a value or its centered value is not finite.
     """
     values = np.asarray(trajectory, dtype=float)
     c = coefficients(spec, probs)
-    return values - c.alpha_bar * np.arange(values.size)
+    return _require_finite(values - c.alpha_bar * np.arange(values.size), "center")
 
 
 @dataclass(frozen=True)

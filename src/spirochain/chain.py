@@ -140,7 +140,7 @@ class SpiroChain:
     codes: bytes
 
     def __post_init__(self) -> None:
-        require_n(self.n, minimum=1)
+        object.__setattr__(self, "n", require_n(self.n, minimum=1))
         if not isinstance(self.codes, bytes):
             raise TypeError(f"codes must be bytes, got {type(self.codes).__name__}")
         if len(self.codes) != max(self.n - 2, 0):
@@ -363,7 +363,6 @@ def generate(n: int, probs: LinkProbabilities, seed: int) -> SpiroChain:
     graph, bit for bit.
     """
     steps = require_n(n) - 2
-    probs = _coerce_probs(probs)
     with allocating(n):
         indexes = draw_link_indexes(rng_from_seed(seed), steps, probs)
         return SpiroChain(steps + 2, np.frombuffer(_CODES, np.uint8)[indexes].tobytes())

@@ -166,14 +166,13 @@ def _histogram_csv(samples, bins: int) -> str:
 
 def cmd_generate(args: argparse.Namespace):
     chain = generate(args.n, args.probs, args.seed)
-    profile = chain.edge_profile()
     # One line, as json.dumps writes it, with the long edge list put in as
     # the byte blocks the chain writes from its rings ("links" holds only O,
     # M and P, so the placeholder is the first match).
     head, _, tail = _json_text({
         "n": chain.n, "links": chain.codes.decode(),
         "vertices": chain.vertex_profile().total, "edges": 0,
-        "edge_profile": {"m22": profile.m22, "m24": profile.m24, "m44": profile.m44},
+        "edge_profile": asdict(chain.edge_profile()),
         "rng": GENERATOR_ALGORITHM, "seed": args.seed,
     }, indent=None).partition('"edges": 0')
     return [f'{head}"edges": '.encode(), *chain._edges_json_blocks(),

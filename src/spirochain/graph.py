@@ -59,6 +59,7 @@ class MolecularGraph:
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edges are not allowed")
         edges.setflags(write=False)
+        object.__setattr__(self, "vertex_count", count)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_keys", keys)
 
@@ -84,8 +85,6 @@ class MolecularGraph:
     @cached_property
     def degree_pair_counts(self) -> dict[tuple[int, int], int]:
         """Map sorted endpoint-degree pair -> number of such edges."""
-        if not self.edge_count:
-            return {}
         du, dv = self.degrees[self.edges[:, 0]], self.degrees[self.edges[:, 1]]
         lo, hi = np.minimum(du, dv), np.maximum(du, dv)
         span = self.vertex_count + 1  # degrees are < vertex_count

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -30,6 +31,10 @@ class IndexSpec:
     kind: IndexKind
     base: Callable[..., float]
     exponent: float
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.kind, IndexKind):
+            raise TypeError(f"kind must be an IndexKind, got {self.kind!r}")
 
 
 def _power_term(spec: IndexSpec, *degrees: int) -> float:
@@ -111,14 +116,6 @@ def _identity(t):
     return t
 
 
-def _product(x, y):
-    return x * y
-
-
-def _degree_sum(x, y):
-    return x + y
-
-
 def _square_sum(x, y):
     return x * x + y * y
 
@@ -130,16 +127,16 @@ def _inverse_mean(x, y):
 # A None exponent marks a variable-exponent family.
 _REGISTRY: dict[str, IndexSpec] = {spec.name: spec for spec in (
     IndexSpec("first-zagreb", IndexKind.VERTEX, _identity, 2.0),
-    IndexSpec("second-zagreb", IndexKind.EDGE, _product, 1.0),
+    IndexSpec("second-zagreb", IndexKind.EDGE, operator.mul, 1.0),
     IndexSpec("forgotten", IndexKind.VERTEX, _identity, 3.0),
     IndexSpec("inverse-degree", IndexKind.VERTEX, _identity, -1.0),
-    IndexSpec("randic", IndexKind.EDGE, _product, -0.5),
-    IndexSpec("sum-connectivity", IndexKind.EDGE, _degree_sum, -0.5),
+    IndexSpec("randic", IndexKind.EDGE, operator.mul, -0.5),
+    IndexSpec("sum-connectivity", IndexKind.EDGE, operator.add, -0.5),
     IndexSpec("harmonic", IndexKind.EDGE, _inverse_mean, 1.0),
-    IndexSpec("nirmala", IndexKind.EDGE, _degree_sum, 0.5),
+    IndexSpec("nirmala", IndexKind.EDGE, operator.add, 0.5),
     IndexSpec("sombor", IndexKind.EDGE, _square_sum, 0.5),
     IndexSpec("variable-first-zagreb", IndexKind.VERTEX, _identity, None),
-    IndexSpec("variable-sum-connectivity", IndexKind.EDGE, _degree_sum, None),
+    IndexSpec("variable-sum-connectivity", IndexKind.EDGE, operator.add, None),
 )}
 
 REGISTRY_NAMES: tuple[str, ...] = tuple(_REGISTRY)

@@ -18,6 +18,7 @@ from spirochain import (
     InvalidN,
     LinkProbabilities,
     LinkType,
+    NonFiniteSample,
     UndefinedBase,
     coefficients,
     compare_expectations,
@@ -285,6 +286,15 @@ def test_distribution_validation():
     ):
         with pytest.raises(ValueError):
             DiscreteDistribution(np.array(support), np.array(pmf))
+    with pytest.raises(ValueError, match="matching 1-d arrays"):
+        DiscreteDistribution([1.0, 2.0], [1.0])
+    for counts in ([0], [0, 1, 2], [[0, 1]], [0.7, 2.9], [True, False], [-1, 2**70],
+                   [-1, 2], np.array([0, 2**63], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="non-negative integer ortho count"):
+            DiscreteDistribution([1.0, 2.0], [0.5, 0.5], ortho_counts=counts)
+    unsigned = DiscreteDistribution([1.0, 2.0], [0.5, 0.5], np.array([3, 0], np.uint8))
+    assert unsigned.ortho_counts.dtype == np.int64
+    assert unsigned.ortho_counts.tolist() == [3, 0]
 
 
 def test_mgf_at_zero_is_one():
@@ -448,6 +458,24 @@ def test_standardize_examples():
         standardize(64.0, ZAGREB2, 2, HALF)
     with pytest.raises(DegenerateVariance):
         standardize(400.0, ZAGREB2, 10, LinkProbabilities(1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("value", [
+    math.inf, -math.inf, math.nan, np.array([0.0, math.nan]), np.array([math.inf, 1.0]),
+    np.array([0.0, 1e308]),  # finite, but 1e308 / sd overflows
+], ids=["inf", "-inf", "nan", "nan-entry", "inf-entry", "overflow"])
+def test_standardize_refuses_non_finite_values(value):
+    assert variance(RANDIC, 3, UNIFORM) < 1.0
+    with pytest.raises(NonFiniteSample, match="cannot standardize"):
+        standardize(value, RANDIC, 3, UNIFORM)
+
+
+@pytest.mark.parametrize("trajectory", [
+    [1.0, math.nan], [math.inf, 1.0], [1.0, 2.0, -math.inf],
+])
+def test_martingale_transform_refuses_non_finite_values(trajectory):
+    with pytest.raises(NonFiniteSample, match="cannot center"):
+        martingale_transform(trajectory, NIRMALA, UNIFORM)
 
 
 def test_standardized_distribution_has_unit_moments():

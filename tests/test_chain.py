@@ -400,6 +400,21 @@ def test_chain_is_its_link_codes():
     assert chain.codes == links_to_string(chain.links).encode()
     assert sc.SpiroChain(12, chain.codes) == chain
     assert initial_chain(1).graph == sc.hexagon()
+    with pytest.raises(ValueError, match="n=5 requires 3 links, got 1"):
+        sc.SpiroChain(5, b"O")
+
+
+def test_numpy_integer_counts_are_stored_as_python_ints():
+    chain = sc.SpiroChain(np.int64(3), b"O")
+    assert type(chain.n) is int
+    assert type(chain.graph.vertex_count) is int
+    assert type(initial_chain(np.int64(1)).n) is int
+    for profile in (chain.edge_profile(), chain.vertex_profile()):
+        assert all(type(count) is int for count in dataclasses.astuple(profile))
+    assert json.loads(json.dumps(chain.graph.to_dict()))["vertices"] == 16
+    assert json.loads(json.dumps(dataclasses.asdict(chain.edge_profile()))) == {
+        "m22": 11, "m24": 6, "m44": 1,
+    }
 
 
 @pytest.mark.parametrize("make", [lambda n: sc.SpiroChain(n, b""), initial_chain],

@@ -1,5 +1,6 @@
 """Graph representation and degree profiles."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -126,6 +127,9 @@ def test_graph_validation():
     assert MolecularGraph(3, []).edge_count == 0
     assert MolecularGraph(3, np.empty((0, 2))).edge_count == 0
     assert MolecularGraph(np.int64(3), [[0, 1]]) == MolecularGraph(3, [[1, 0]])
+    numpy_count = MolecularGraph(np.int64(3), [[0, 1], [1, 2]])
+    assert type(numpy_count.vertex_count) is int
+    assert json.loads(json.dumps(numpy_count.to_dict())) == numpy_count.to_dict()
 
 
 def test_vertex_count_bound_keeps_edge_keys_in_int64():
@@ -138,6 +142,11 @@ def test_vertex_count_bound_keeps_edge_keys_in_int64():
     g = MolecularGraph(top, [[top - 2, top - 1], [0, top - 1]])
     assert g.edge_count == 2
     assert g == MolecularGraph(top, [[top - 1, 0], [top - 1, top - 2]])
+
+
+def test_edgeless_graphs_have_no_degree_pairs():
+    for g in (MolecularGraph(4, []), MolecularGraph(0, [])):
+        assert g.degree_pair_counts == {}
 
 
 def test_graph_is_immutable():
@@ -154,6 +163,8 @@ def test_graph_equality_is_by_edge_set():
     c = MolecularGraph(4, np.array([[0, 1], [1, 2]]))
     assert a == b
     assert a != c
+    assert a.__eq__(a.to_dict()) is NotImplemented
+    assert a != a.to_dict()
 
 
 def test_to_dict_round_trips():

@@ -1,6 +1,7 @@
 """Index definitions, evaluation, and the named-index registry."""
 
 import math
+import operator
 
 import pytest
 
@@ -11,6 +12,7 @@ from spirochain import (
     KindMismatch,
     LinkProbabilities,
     MissingExponent,
+    MolecularGraph,
     UndefinedBase,
     UnknownIndex,
     VertexProfile,
@@ -172,6 +174,20 @@ def test_kind_mismatch():
         evaluate_from_profile(registry_lookup("first-zagreb"), EdgeProfile(8, 4, 0))
     with pytest.raises(KindMismatch):
         evaluate_from_profile(registry_lookup("nirmala"), VertexProfile(10, 1))
+    with pytest.raises(TypeError, match="expected EdgeProfile or VertexProfile"):
+        evaluate_from_profile(registry_lookup("nirmala"), (8, 4, 0))
+
+
+@pytest.mark.parametrize("kind", ["edge", "vertex", None])
+def test_spec_kind_must_be_an_index_kind(kind):
+    # "edge" evaluated as an edge index on graphs but picked vertex profiles.
+    with pytest.raises(TypeError, match="kind must be an IndexKind"):
+        IndexSpec("x", kind, operator.mul, 1.0)
+
+
+def test_evaluate_refuses_an_empty_graph():
+    with pytest.raises(ValueError, match="empty graph"):
+        evaluate(registry_lookup("first-zagreb"), MolecularGraph(0, []))
 
 
 def test_variable_family_reproduces_fixed_members():

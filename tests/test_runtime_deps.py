@@ -1,4 +1,5 @@
-"""The package runs without scipy, which only the tests use as an oracle."""
+"""The package runs without scipy, which only the tests use as an oracle, and
+its one count check runs without numpy."""
 
 import json
 import os
@@ -50,3 +51,41 @@ def test_cli_runs_every_subcommand_without_scipy():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"codes": [0] * len(SUBCOMMANDS), "scipy": []}, proc.stderr
+
+
+# Runs in a fresh interpreter in which any import of numpy fails, and loads
+# errors.py by its path, so the package __init__ (which imports numpy) is skipped.
+ERRORS_SCRIPT = """
+import importlib.util, sys
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ModuleNotFoundError(f"import of {name} refused")
+        return None
+
+sys.meta_path.insert(0, RefuseNumpy())
+spec = importlib.util.spec_from_file_location("spirochain_errors", sys.argv[1])
+errors = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(errors)
+assert errors.require_n(7) == 7
+assert errors.require_n(0, minimum=0, name="bins") == 0
+for bad in (1, True, 2.0, "3"):
+    try:
+        errors.require_n(bad)
+    except errors.InvalidN:
+        pass
+    else:
+        raise AssertionError(f"require_n accepted {bad!r}")
+print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")))
+"""
+
+
+def test_count_check_runs_without_numpy():
+    errors_py = Path(spirochain.__file__).resolve().parent / "errors.py"
+    proc = subprocess.run(
+        [sys.executable, "-c", ERRORS_SCRIPT, str(errors_py)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stderr
