@@ -18,6 +18,7 @@ same increment, so their split never matters.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -144,8 +145,10 @@ def _second_moment(c: ChainCoefficients, n: int) -> float:
 def _log_mgf(c: ChainCoefficients, n: int, t: float) -> float:
     # log(w_lo e**lo + w_hi e**hi) = hi + log1p(w_lo * expm1(lo - hi)) as
     # w_lo + w_hi = 1; it is lo when w_hi is 0.  The two-hexagon chain
-    # takes no step, so an infinite one must not enter as 0 * inf.  t is a
-    # Python float, which overflows to inf without numpy's warning.
+    # takes no step, so an infinite one must not enter as 0 * inf.  As a
+    # Python float, t overflows to inf without numpy's warning, and an
+    # integer beyond the double range raises OverflowError, which _finite maps.
+    t = float(t)
     (w_lo, lo), (w_hi, hi) = sorted(
         ((c.p_ortho, t * c.alpha_ortho), (1.0 - c.p_ortho, t * c.alpha_meta)),
         key=lambda term: term[1])
@@ -190,8 +193,8 @@ class DiscreteDistribution:
     ortho_counts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        support = np.asarray(self.support, dtype=float)
-        pmf = np.asarray(self.pmf, dtype=float)
+        support = np.array(self.support, dtype=float)  # copies: the caller's stay writable
+        pmf = np.array(self.pmf, dtype=float)
         if support.shape != pmf.shape or support.ndim != 1 or support.size == 0:
             raise ValueError("support and pmf must be matching 1-d arrays")
         # Each check is written to fail on NaN.
@@ -204,7 +207,7 @@ class DiscreteDistribution:
         if not np.all(np.isfinite(support)):
             raise ValueError("support values must be finite")
         if (counts := self.ortho_counts) is not None:
-            counts = np.asarray(counts)
+            counts = np.array(counts)
             if counts.dtype.kind in "iu":  # a uint64 from 2**63 up wraps negative
                 counts = counts.astype(np.int64, copy=False)
             if counts.dtype != np.int64 or counts.shape != support.shape or (counts < 0).any():
@@ -275,9 +278,10 @@ def mgf(spec: IndexSpec, n: int, probs: LinkProbabilities, t: float) -> float:
     """Moment generating function of the index value at argument t:
     exp(log_mgf(spec, n, probs, t)), 0.0 where that underflows, and within
     1e-13 relative of a 60-digit reference.  Raises UndefinedBase where it
-    overflows the double range (or t is NaN, or n is beyond the double range).
+    overflows the double range (or t is NaN, or t or n is beyond the double
+    range).
     """
-    return _mgf(coefficients(spec, probs), n, float(t))
+    return _mgf(coefficients(spec, probs), n, t)
 
 
 def log_mgf(spec: IndexSpec, n: int, probs: LinkProbabilities, t: float) -> float:
@@ -285,24 +289,34 @@ def log_mgf(spec: IndexSpec, n: int, probs: LinkProbabilities, t: float) -> floa
     t * ti2 + (n-2) * log(p_ortho * exp(t * alpha_ortho) + (1 - p_ortho) *
     exp(t * alpha_meta)), the step taken through log1p and expm1, within
     1e-15 relative of a 60-digit reference.  Raises UndefinedBase when the
-    result is not finite (or t is NaN, or n is beyond the double range).
+    result is not finite (or t is NaN, or t or n is beyond the double range).
     """
-    return _finite(_log_mgf)(coefficients(spec, probs), n, float(t))
+    return _finite(_log_mgf)(coefficients(spec, probs), n, t)
 
 
-def _require_finite(result, what: str):
-    """Return `result` unless it holds NaN or infinity, as any non-finite input makes it."""
-    if not np.isfinite(result).all():
-        raise NonFiniteSample(f"cannot {what}: a value or its result is NaN or infinite")
-    return result
+@contextlib.contextmanager
+def _finite_statistics(x: np.ndarray, what: str):
+    """Refuse a sample holding NaN or infinity, which has no statistics, and
+    one whose statistics overflow float64 inside the block."""
+    if not np.isfinite(x).all():
+        raise NonFiniteSample(f"cannot {what} a sample holding NaN or infinity")
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise NonFiniteSample(
+            f"cannot {what} this sample: its statistics overflow float64"
+        ) from None
 
 
 def standardize(value, spec: IndexSpec, n: int, probs: LinkProbabilities):
     """Center by the closed-form mean and scale by the closed-form sd.
 
-    Accepts a scalar or an array of values.  Raises DegenerateVariance for
-    deterministic indices, n = 2, or boundary probabilities, and
-    NonFiniteSample when a value or its standardized value is not finite.
+    Accepts a scalar or an array of values and returns float64: an array,
+    or for a scalar a numpy.float64 (a float subclass).  Raises
+    DegenerateVariance for deterministic indices, n = 2, or boundary
+    probabilities, and NonFiniteSample when a value or its standardized
+    value is not finite.
     """
     c = coefficients(spec, probs)
     var = _variance(c, n)
@@ -310,8 +324,9 @@ def standardize(value, spec: IndexSpec, n: int, probs: LinkProbabilities):
         raise DegenerateVariance(
             f"{spec.name} has zero variance at n={n}, p_ortho={c.p_ortho}"
         )
-    with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
-        return _require_finite((value - _mean(c, n)) / math.sqrt(var), "standardize")
+    value = np.asarray(value, dtype=float)
+    with _finite_statistics(value, "standardize"):
+        return (value - _mean(c, n)) / math.sqrt(var)
 
 
 def martingale_transform(
@@ -322,12 +337,16 @@ def martingale_transform(
     `trajectory` holds index values of one growing chain, starting at the
     two-hexagon seed; entry j corresponds to j growth steps.  The result has
     conditionally mean-zero increments, which is what the residual check in
-    the Monte Carlo layer verifies empirically.  Raises NonFiniteSample when
-    a value or its centered value is not finite.
+    the Monte Carlo layer verifies empirically.  Raises ValueError when the
+    trajectory is not 1-d, and NonFiniteSample when a value or its centered
+    value is not finite.
     """
     values = np.asarray(trajectory, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"a trajectory must be 1-d, got shape {values.shape}")
     c = coefficients(spec, probs)
-    return _require_finite(values - c.alpha_bar * np.arange(values.size), "center")
+    with _finite_statistics(values, "center"):
+        return values - c.alpha_bar * np.arange(values.size)
 
 
 @dataclass(frozen=True)

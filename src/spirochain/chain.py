@@ -348,8 +348,10 @@ def draw_link_indexes(
     """Inverse-CDF link selection over (ortho, meta, para), in that order.
 
     Returns indexes into LINK_ORDER.  The final CDF boundary is pinned to
-    1.0 so that uniforms never fall past the last bucket.
+    1.0 so that uniforms never fall past the last bucket.  `count` is
+    checked like every count (require_n, minimum 0).
     """
+    count = require_n(count, minimum=0, name="count")
     probs = _coerce_probs(probs)
     cdf = np.array([probs.p_ortho, probs.p_ortho + probs.p_meta, 1.0], dtype=float)
     u = rng.random(count)

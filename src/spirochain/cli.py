@@ -50,8 +50,6 @@ _PROB_SUM_TOL = 1e-9
 # as -1e-3 or -inf as a flag, so `--a -1e-3` would fail; this one takes them.
 _NEGATIVE_NUMBER = re.compile(r"-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?)$", re.I)
 
-_NON_FINITE = "the result is not finite: the index values overflow the double range"
-
 # SampleSummary fields that the simulate payload names differently.
 _SUMMARY_KEYS = {"minimum": "min", "maximum": "max"}
 
@@ -92,16 +90,9 @@ def _echo(args: argparse.Namespace) -> dict:
     return {"index": args.spec.name, **a, "n": args.n, **asdict(args.probs)}
 
 
-def _json_text(payload: dict, indent: int | None = 2) -> str:
-    try:
-        return json.dumps(payload, indent=indent, allow_nan=False)
-    except ValueError:
-        raise UsageError(_NON_FINITE) from None
-
-
 def _csv_text(header: list[str], rows: list[list]) -> str:
     if any(isinstance(x, float) and not math.isfinite(x) for row in rows for x in row):
-        raise UsageError(_NON_FINITE)
+        raise ValueError("a non-finite value reached the CSV output")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -116,7 +107,7 @@ def _emit(args: argparse.Namespace, payload, files) -> None:
     and a failed write removes the regular files already written, so a
     usage error leaves no partial output."""
     if isinstance(payload, dict):
-        text = (_json_text(payload) + "\n" if args.format == "json"
+        text = (json.dumps(payload, indent=2, allow_nan=False) + "\n" if args.format == "json"
                 else _csv_text(*args.to_csv(payload)))
         payload = [text.encode()]
     outputs = [(path, flag, [render().encode()])
@@ -169,12 +160,12 @@ def cmd_generate(args: argparse.Namespace):
     # One line, as json.dumps writes it, with the long edge list put in as
     # the byte blocks the chain writes from its rings ("links" holds only O,
     # M and P, so the placeholder is the first match).
-    head, _, tail = _json_text({
+    head, _, tail = json.dumps({
         "n": chain.n, "links": chain.codes.decode(),
         "vertices": chain.vertex_profile().total, "edges": 0,
         "edge_profile": asdict(chain.edge_profile()),
         "rng": GENERATOR_ALGORITHM, "seed": args.seed,
-    }, indent=None).partition('"edges": 0')
+    }, allow_nan=False).partition('"edges": 0')
     return [f'{head}"edges": '.encode(), *chain._edges_json_blocks(),
             f"{tail}\n".encode()], ()
 
@@ -249,8 +240,8 @@ def cmd_simulate(args: argparse.Namespace):
         },
         "normality": normality,
     }
-    # Rendered after the payload, whose summary min and max fail on any
-    # non-finite sample, so the file texts need no check of their own.
+    # summarize refuses a non-finite sample, so the file texts need no
+    # check of their own.
     return payload, (
         (args.samples_out, "--samples-out",
          lambda: "".join(f"{v!r}\n" for v in samples.tolist())),

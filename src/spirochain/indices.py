@@ -38,13 +38,12 @@ class IndexSpec:
 
 
 def _power_term(spec: IndexSpec, *degrees: int) -> float:
-    try:
-        raw = spec.base(*degrees)
+    try:  # float() of a string or of an integer beyond the double range fails too
+        raw = float(spec.base(*degrees))
     except (ArithmeticError, ValueError) as exc:
         raise UndefinedBase(
             f"{spec.name}: base function failed at degrees {degrees}"
         ) from exc
-    raw = float(raw)
     if not math.isfinite(raw) or raw <= 0.0:
         raise UndefinedBase(
             f"{spec.name}: base function must be strictly positive, "

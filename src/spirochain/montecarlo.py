@@ -12,7 +12,6 @@ built.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import analytics
 from .chain import LinkProbabilities, _replication_streams, allocating
-from .errors import EmptySample, NonFiniteSample, NTooLarge, SampleTooSmall, require_n
+from .errors import EmptySample, NTooLarge, SampleTooSmall, require_n
 from .indices import IndexSpec
 
 _TRAJECTORY_BLOCK = 8192
@@ -46,26 +45,11 @@ class SampleSummary:
     maximum: float
 
 
-@contextlib.contextmanager
-def _finite_statistics(x: np.ndarray, what: str):
-    """Refuse a sample holding NaN or infinity, which has no statistics, and
-    one whose statistics overflow float64 inside the block."""
-    if not np.isfinite(x).all():
-        raise NonFiniteSample(f"cannot {what} a sample holding NaN or infinity")
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError:
-        raise NonFiniteSample(
-            f"cannot {what} this sample: its statistics overflow float64"
-        ) from None
-
-
 def summarize(values) -> SampleSummary:
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise EmptySample("cannot summarize an empty sample")
-    with _finite_statistics(x, "summarize"):
+    with analytics._finite_statistics(x, "summarize"):
         lo, hi = float(x.min()), float(x.max())
         if lo == hi:  # a rounded mean would leave a spurious spread
             return SampleSummary(int(x.size), lo, 0.0, 0.0, 0.0, lo, hi)
@@ -155,7 +139,7 @@ def histogram(samples, bins: int) -> HistogramData:
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise EmptySample("cannot histogram an empty sample")
-    with _finite_statistics(x, "histogram"):
+    with analytics._finite_statistics(x, "histogram"):
         bins = require_n(bins, minimum=1, name="bins")
         with allocating(bins, "bins"):
             try:

@@ -295,6 +295,15 @@ def test_distribution_validation():
     unsigned = DiscreteDistribution([1.0, 2.0], [0.5, 0.5], np.array([3, 0], np.uint8))
     assert unsigned.ortho_counts.dtype == np.int64
     assert unsigned.ortho_counts.tolist() == [3, 0]
+    # The instance freezes copies: the caller's arrays stay writable.
+    caller = (np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.array([0, 1]))
+    copied = DiscreteDistribution(*caller)
+    for array in caller:
+        array[0] = 7
+    assert copied.support.tolist() == [1.0, 2.0] and copied.pmf.tolist() == [0.5, 0.5]
+    assert copied.ortho_counts.tolist() == [0, 1]
+    for array in (copied.support, copied.pmf, copied.ortho_counts):
+        assert not array.flags.writeable
 
 
 def test_mgf_at_zero_is_one():
@@ -358,7 +367,8 @@ def test_mgf_overflow_is_signalled():
     # a numpy t, whose own overflow would warn instead.
     for n, probs, t in ((1000, HALF, 50.0), (10**6, UNIFORM, 1.0),
                         (3, UNIFORM, 7.0), (10, UNIFORM, math.nan),
-                        (10, UNIFORM, np.float64(1e308))):
+                        (10, UNIFORM, np.float64(1e308)),
+                        (10, UNIFORM, 10**400), (10, UNIFORM, -10**400)):
         with pytest.raises(UndefinedBase, match="mgf .* not finite"):
             mgf(ZAGREB2, n, probs, t)
 
@@ -392,7 +402,7 @@ def test_log_mgf_is_finite_where_mgf_overflows():
     # the step's terms overflow exp() although their log-sum-exp is finite
     assert math.isfinite(log_mgf(ZAGREB2, 10, HALF, 50.0))
     for n, t in ((10, math.nan), (10, math.inf), (10, -math.inf), (10, np.float64(1e308)),
-                 (10**400, 1e-3)):
+                 (10**400, 1e-3), (10, 10**400), (10, -10**400)):
         with pytest.raises(UndefinedBase, match="log mgf .* not finite"):
             log_mgf(ZAGREB2, n, UNIFORM, t)
 
@@ -452,6 +462,7 @@ def test_standardize_examples():
     assert standardize(expected_value(ZAGREB2, 10, HALF), ZAGREB2, 10, HALF) == 0.0
     z = standardize(404.0, ZAGREB2, 10, HALF)
     assert rel_close(z, 4 / math.sqrt(32), 1e-12)
+    assert type(z) is np.float64  # a float subclass
     with pytest.raises(DegenerateVariance):
         standardize(100.0, ZAGREB1, 10, HALF)
     with pytest.raises(DegenerateVariance):
@@ -463,7 +474,8 @@ def test_standardize_examples():
 @pytest.mark.parametrize("value", [
     math.inf, -math.inf, math.nan, np.array([0.0, math.nan]), np.array([math.inf, 1.0]),
     np.array([0.0, 1e308]),  # finite, but 1e308 / sd overflows
-], ids=["inf", "-inf", "nan", "nan-entry", "inf-entry", "overflow"])
+    1e308,  # a Python float, whose overflow numpy's errstate would not see
+], ids=["inf", "-inf", "nan", "nan-entry", "inf-entry", "overflow", "scalar-overflow"])
 def test_standardize_refuses_non_finite_values(value):
     assert variance(RANDIC, 3, UNIFORM) < 1.0
     with pytest.raises(NonFiniteSample, match="cannot standardize"):
@@ -475,6 +487,13 @@ def test_standardize_refuses_non_finite_values(value):
 ])
 def test_martingale_transform_refuses_non_finite_values(trajectory):
     with pytest.raises(NonFiniteSample, match="cannot center"):
+        martingale_transform(trajectory, NIRMALA, UNIFORM)
+
+
+@pytest.mark.parametrize("trajectory", [[[1.0], [2.0]], [[1.0, 2.0]], 3.0],
+                         ids=["column", "row", "scalar"])
+def test_martingale_transform_refuses_a_trajectory_that_is_not_1d(trajectory):
+    with pytest.raises(ValueError, match="must be 1-d"):
         martingale_transform(trajectory, NIRMALA, UNIFORM)
 
 

@@ -185,6 +185,16 @@ def test_every_count_taker_validates_counts_alike(name):
     call(np.int64(5))
 
 
+def test_draw_link_indexes_validates_its_count():
+    rng = sc.rng_from_seed(0)
+    for bad in (-1, 1.5, True, "3", None):
+        with pytest.raises(InvalidN, match="count must be an integer >= 0"):
+            sc.draw_link_indexes(rng, bad, UNIFORM)
+    assert sc.draw_link_indexes(rng, 0, UNIFORM).tolist() == []
+    assert sc.draw_link_indexes(rng, np.int64(4), UNIFORM).shape == (4,)
+    assert generate(2, UNIFORM, 0).codes == b""
+
+
 # Every public function that takes link probabilities, reduced to a value
 # that compares with ==.
 PROB_TAKERS = {

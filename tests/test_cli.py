@@ -377,6 +377,24 @@ def test_non_finite_output_exits_2_and_writes_nothing(capsys, tmp_path, argv):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("owner, name, argv", [
+    (spirochain.analytics, "expected_value", ["analyze", "--index", "randic", "--n", "10"]),
+    (cli, "evaluate_from_profile",
+     ["compute", "--index", "randic", "--links", "OMP", "--format", "csv"]),
+], ids=["analyze-json", "compute-csv"])
+def test_a_non_finite_value_reaching_the_output_exits_4_and_writes_nothing(
+        monkeypatch, capsys, tmp_path, owner, name, argv):
+    # The library raises on every non-finite result (exit 2), so one that
+    # reaches the renderer breaks its contract: that is a bug, not bad input.
+    monkeypatch.setattr(owner, name, lambda *args: math.inf)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "") and err.startswith("internal error")
+    target = tmp_path / "out.txt"
+    code, out, _ = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (4, "")
+    assert not target.exists()
+
+
 def test_simulate_failed_write_leaves_no_partial_artifacts(capsys, tmp_path):
     samples = tmp_path / "s.csv"
     code, _, err = run(

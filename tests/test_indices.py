@@ -152,6 +152,11 @@ def test_undefined_base_is_rejected():
     failing = IndexSpec("sqrt", IndexKind.VERTEX, lambda t: math.sqrt(t - 5), 1.0)
     with pytest.raises(UndefinedBase):
         evaluate(failing, SEED_GRAPH)
+    # float() of the base's value fails: a string, an integer past the double range
+    for value in ("x", 10**400):
+        spec = IndexSpec("float", IndexKind.VERTEX, lambda t, value=value: value, 1.0)
+        with pytest.raises(UndefinedBase, match="base function failed"):
+            evaluate(spec, SEED_GRAPH)
 
 
 def test_exponent_overflow_is_undefined_base():
