@@ -193,8 +193,9 @@ class DiscreteDistribution:
     ortho_counts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        support = np.array(self.support, dtype=float)  # copies: the caller's stay writable
-        pmf = np.array(self.pmf, dtype=float)
+        # Copies: the caller's arrays stay writable.
+        support = _floats(self.support, "build a distribution").copy()
+        pmf = _floats(self.pmf, "build a distribution").copy()
         if support.shape != pmf.shape or support.ndim != 1 or support.size == 0:
             raise ValueError("support and pmf must be matching 1-d arrays")
         # Each check is written to fail on NaN.
@@ -294,6 +295,15 @@ def log_mgf(spec: IndexSpec, n: int, probs: LinkProbabilities, t: float) -> floa
     return _finite(_log_mgf)(coefficients(spec, probs), n, t)
 
 
+def _floats(values, what: str) -> np.ndarray:
+    """np.asarray(values, dtype=float), except that a Python integer beyond
+    the double range, which float64 cannot hold, raises NonFiniteSample."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise NonFiniteSample(f"cannot {what}: a value is beyond the float64 range") from None
+
+
 @contextlib.contextmanager
 def _finite_statistics(x: np.ndarray, what: str):
     """Refuse a sample holding NaN or infinity, which has no statistics, and
@@ -324,7 +334,7 @@ def standardize(value, spec: IndexSpec, n: int, probs: LinkProbabilities):
         raise DegenerateVariance(
             f"{spec.name} has zero variance at n={n}, p_ortho={c.p_ortho}"
         )
-    value = np.asarray(value, dtype=float)
+    value = _floats(value, "standardize")
     with _finite_statistics(value, "standardize"):
         return (value - _mean(c, n)) / math.sqrt(var)
 
@@ -341,7 +351,7 @@ def martingale_transform(
     trajectory is not 1-d, and NonFiniteSample when a value or its centered
     value is not finite.
     """
-    values = np.asarray(trajectory, dtype=float)
+    values = _floats(trajectory, "center")
     if values.ndim != 1:
         raise ValueError(f"a trajectory must be 1-d, got shape {values.shape}")
     c = coefficients(spec, probs)

@@ -27,18 +27,20 @@ splitmix64 and XOR it into the master seed.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ChainTooShort, InvalidN, InvalidProbabilities, NTooLarge, require_n
+from .errors import (
+    ChainTooShort, InvalidN, InvalidProbabilities, NTooLarge, SpiroChainError, require_n,
+)
 from .graph import EdgeProfile, MolecularGraph, VertexProfile, _EDGE_DTYPE
 
 GENERATOR_ALGORITHM = "philox4x64-10"
@@ -79,6 +81,10 @@ _RING_EDGES = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 0, 5])
 # Rings per block of the JSON edge writer: a block's 32,766 rows (~1 MB of
 # arrays at six-digit ids) stay in L2 through its digit passes.
 _BLOCK_RINGS = 5461
+
+# Per thread, the _rekeyable stream that generate draws from while no call
+# of that thread holds it.
+_IDLE_STREAM = threading.local()
 
 
 @dataclass(frozen=True)
@@ -282,14 +288,23 @@ def replay(links: str | Iterable[LinkType]) -> SpiroChain:
     return SpiroChain(len(codes) + 2, codes)
 
 
-@contextlib.contextmanager
-def allocating(n: int, name: str = "n"):
-    """Report numpy's refusal to build an array sized by n (a size
-    ValueError or a MemoryError) as NTooLarge naming n."""
-    try:
-        yield
-    except (ValueError, MemoryError) as exc:
-        raise NTooLarge(f"{name}={n} is too large for the arrays it sizes: {exc}") from None
+class allocating:
+    """Context manager that reports numpy's refusal to build an array sized
+    by n (a size ValueError or a MemoryError) as NTooLarge naming n; the
+    package's own errors pass through unchanged.  A plain class because a
+    chain enters it three times, and a generator-based one costs ~3x as much."""
+
+    def __init__(self, n: int, name: str = "n") -> None:
+        self.n, self.name = n, name
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, (ValueError, MemoryError)) and not isinstance(exc, SpiroChainError):
+            raise NTooLarge(
+                f"{self.name}={self.n} is too large for the arrays it sizes: {exc}"
+            ) from None
 
 
 def _coerce_probs(probs) -> LinkProbabilities:
@@ -324,22 +339,35 @@ def replication_seed(seed: int, index: int) -> int:
     return (operator.index(seed) & _MASK64) ^ splitmix64(index & _MASK64)
 
 
+def _rekeyable() -> tuple[np.random.Generator, dict]:
+    """A Philox Generator and its fresh state, the template _rekeyed keys."""
+    rng = rng_from_seed(0)
+    return rng, rng.bit_generator.state
+
+
+def _rekeyed(stream: tuple[np.random.Generator, dict], seed: int) -> np.random.Generator:
+    """Reset a _rekeyable stream to the state rng_from_seed(seed) starts
+    from: key [seed mod 2**64, 0], counter 0, empty buffer.  That skips the
+    OS entropy each Philox constructor gathers only for the key to override
+    it.  A float or a string seed raises TypeError, as in rng_from_seed."""
+    rng, state = stream
+    state["state"]["key"][0] = operator.index(seed) & _MASK64
+    rng.bit_generator.state = state
+    return rng
+
+
 def _replication_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
     """Yield the stream rng_from_seed(replication_seed(seed, r)) for each
     r in range(count).
 
-    One Philox is built per call and rekeyed for every stream to the state
-    Philox(key=k) starts from: key [k, 0], counter 0, empty buffer.  That
-    skips the OS entropy each constructor gathers only for the key to
-    override it.  The same Generator is yielded every time, so a stream is
-    valid only until the next step.
+    One Philox is built per call, not taken from generate's, so that a
+    generate call made between two steps cannot disturb a stream.  The same
+    Generator is yielded every time, so a stream is valid only until the
+    next step.
     """
-    rng = rng_from_seed(0)
-    state = rng.bit_generator.state
+    stream = _rekeyable()
     for r in range(count):
-        state["state"]["key"][0] = replication_seed(seed, r)
-        rng.bit_generator.state = state
-        yield rng
+        yield _rekeyed(stream, replication_seed(seed, r))
 
 
 def draw_link_indexes(
@@ -362,12 +390,19 @@ def generate(n: int, probs: LinkProbabilities, seed: int) -> SpiroChain:
     """Grow a random chain with n hexagons; pure function of its arguments.
 
     Identical (n, probs, seed) always yield the identical link sequence and
-    graph, bit for bit.
+    graph, bit for bit: the draws are those of rng_from_seed(seed), taken
+    from a Philox that each thread builds once and rekeys per call.
     """
     steps = require_n(n) - 2
-    with allocating(n):
-        indexes = draw_link_indexes(rng_from_seed(seed), steps, probs)
-        return SpiroChain(steps + 2, np.frombuffer(_CODES, np.uint8)[indexes].tobytes())
+    # A call holds its thread's stream while it draws, so a nested call (a
+    # probability's __float__, a signal handler) builds one of its own.
+    stream = vars(_IDLE_STREAM).pop("stream", None) or _rekeyable()
+    try:
+        with allocating(n):
+            indexes = draw_link_indexes(_rekeyed(stream, seed), steps, probs)
+            return SpiroChain(steps + 2, np.frombuffer(_CODES, np.uint8)[indexes].tobytes())
+    finally:
+        _IDLE_STREAM.stream = stream
 
 
 def enumerate_all(

@@ -52,11 +52,11 @@ class MolecularGraph:
         edges = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=-1)
         if edges.size and (edges.min() < 0 or edges.max() >= count):
             raise ValueError("edge endpoint out of range")
-        if np.any(edges[:, 0] == edges[:, 1]):
+        if (edges[:, 0] == edges[:, 1]).any():
             raise ValueError("self-loops are not allowed")
         # The sorted keys u * V + v are both the duplicate check and __eq__'s.
         keys = np.sort(edges[:, 0] * count + edges[:, 1])
-        if np.any(keys[1:] == keys[:-1]):
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate edges are not allowed")
         edges.setflags(write=False)
         object.__setattr__(self, "vertex_count", count)
@@ -84,14 +84,27 @@ class MolecularGraph:
 
     @cached_property
     def degree_pair_counts(self) -> dict[tuple[int, int], int]:
-        """Map sorted endpoint-degree pair -> number of such edges."""
-        du, dv = self.degrees[self.edges[:, 0]], self.degrees[self.edges[:, 1]]
-        lo, hi = np.minimum(du, dv), np.maximum(du, dv)
-        span = self.vertex_count + 1  # degrees are < vertex_count
-        encoded, counts = np.unique(lo * span + hi, return_counts=True)
+        """Map sorted endpoint-degree pair -> number of such edges, in
+        ascending pair order.
+
+        Edges are binned by the ranks of their endpoint degrees among the m
+        distinct degrees.  Those degrees sum to at most 2E, so m(m - 1)/2 <=
+        2E and the m*m table is O(E), where one indexed by the degrees
+        themselves would not be: an edge between two vertices of degree
+        10**5 would need 10**10 bins.
+        """
+        rank = np.bincount(self.degrees)  # a table by degree, filled with ranks
+        present = rank.nonzero()[0]
+        m = present.size
+        rank[present] = np.arange(m)
+        ends = rank[self.degrees[self.edges]]
+        ru, rv = ends[:, 0], ends[:, 1]
+        table = np.bincount(np.minimum(ru, rv) * m + np.maximum(ru, rv))
+        codes = table.nonzero()[0]
+        degree = present.tolist()
         return {
-            (int(code // span), int(code % span)): int(c)
-            for code, c in zip(encoded, counts)
+            (degree[code // m], degree[code % m]): count
+            for code, count in zip(codes.tolist(), table[codes].tolist())
         }
 
     def __eq__(self, other: object) -> bool:

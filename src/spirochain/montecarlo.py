@@ -46,7 +46,7 @@ class SampleSummary:
 
 
 def summarize(values) -> SampleSummary:
-    x = np.asarray(values, dtype=float)
+    x = analytics._floats(values, "summarize")
     if x.size == 0:
         raise EmptySample("cannot summarize an empty sample")
     with analytics._finite_statistics(x, "summarize"):
@@ -136,7 +136,7 @@ def histogram(samples, bins: int) -> HistogramData:
     """Bin the samples into `bins` uniform bins spanning [min, max]; a range
     too narrow for `bins` distinct edges raises NTooLarge naming it, and one
     whose densities overflow float64 raises NonFiniteSample."""
-    x = np.asarray(samples, dtype=float)
+    x = analytics._floats(samples, "histogram")
     if x.size == 0:
         raise EmptySample("cannot histogram an empty sample")
     with analytics._finite_statistics(x, "histogram"):
@@ -182,7 +182,7 @@ def normality_check(samples) -> NormalityReport:
     Requires at least 100 samples, all finite, whose moments fit in
     float64 (summarize checks).
     """
-    x = np.asarray(samples, dtype=float).ravel()
+    x = analytics._floats(samples, "check").ravel()
     if x.size < 100:
         raise SampleTooSmall(f"need at least 100 samples, got {x.size}")
     stats = summarize(x)

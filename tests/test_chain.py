@@ -5,6 +5,9 @@ import json
 import math
 import pickle
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +24,11 @@ from spirochain import (
     InvalidProbabilities,
     LinkProbabilities,
     LinkType,
+    NonFiniteSample,
     NTooLarge,
+    SpiroChainError,
+    UndefinedBase,
+    draw_link_indexes,
     edge_profile,
     enumerate_all,
     generate,
@@ -31,10 +38,11 @@ from spirochain import (
     parse_links,
     replay,
     replication_seed,
+    rng_from_seed,
     splitmix64,
     vertex_profile,
 )
-from spirochain.chain import _BLOCK_RINGS
+from spirochain.chain import _BLOCK_RINGS, allocating
 from spirochain.cli import main as cli_main
 
 UNIFORM = LinkProbabilities.uniform()
@@ -372,6 +380,94 @@ def test_numpy_integer_seeds_key_the_streams_of_the_python_ints():
             generate(5, UNIFORM, seed)
         with pytest.raises(TypeError):
             replication_seed(seed, 0)
+
+
+def _serial_codes(n, probs, seed):
+    """The link codes of generate(n, probs, seed) from a freshly keyed Philox."""
+    indexes = draw_link_indexes(rng_from_seed(seed), n - 2, probs)
+    return bytes(b"OMP"[i] for i in indexes.tolist())
+
+
+def test_generate_builds_one_philox_per_thread(monkeypatch):
+    real = np.random.Philox
+    built = []
+
+    def counting_philox(*args, **kwargs):
+        built.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    generate(30, UNIFORM, 0)  # warm-up: this thread builds its Philox if it has none
+    built.clear()
+    for seed in range(50):
+        generate(30, UNIFORM, seed)
+    assert built == []
+    worker = threading.Thread(target=lambda: [generate(30, UNIFORM, s) for s in range(5)])
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert len(built) == 1  # the new thread's own
+
+
+def test_generated_streams_are_bit_stable_under_threads():
+    probs = LinkProbabilities(0.3, 0.45, 0.25)
+    n = 60
+    # 2**64 + 5 reduces to 5 mod 2**64; a numpy integer keys like its value.
+    edge_seeds = [0, 2**64 - 1, 2**64 + 5, np.uint64(2**64 - 2), np.uint64(7)]
+    seeds = [edge_seeds + list(range(1000 * t, 1000 * t + 200)) for t in range(4)]
+    start = threading.Barrier(4, timeout=60)
+
+    def work(own):
+        start.wait()
+        return [generate(n, probs, seed).codes for seed in own]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between almost every bytecode
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(work, own) for own in seeds]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for own, codes in zip(seeds, results):
+        assert codes == [_serial_codes(n, probs, seed) for seed in own]
+    assert _serial_codes(n, probs, 2**64 + 5) == _serial_codes(n, probs, 5)
+    with pytest.raises(TypeError):
+        generate(n, probs, 5.0)
+    assert generate(n, probs, 5).codes == _serial_codes(n, probs, 5)
+
+
+def test_a_nested_generate_call_leaves_the_outer_stream_intact():
+    class NestedFraction(Fraction):
+        """A p_ortho whose float conversion, made while the outer call
+        draws, runs a generate call of its own."""
+
+        def __float__(self):
+            inner.append(generate(40, UNIFORM, 99).codes)
+            return super().__float__()
+
+    inner = []
+    probs = (NestedFraction(3, 10), Fraction(9, 20), Fraction(1, 4))
+    outer = generate(40, probs, 5).codes
+    assert inner and all(codes == generate(40, UNIFORM, 99).codes for codes in inner)
+    assert outer == generate(40, tuple(map(Fraction, probs)), 5).codes
+
+
+def test_allocating_maps_only_numpy_size_errors():
+    for refusal in (ValueError("array is too big."), MemoryError("Unable to allocate")):
+        with pytest.raises(NTooLarge, match=r"^bins=7 is too large .*: ") as info:
+            with allocating(7, "bins"):
+                raise refusal
+        assert info.value.__cause__ is None
+    passed = (TypeError("no"), InvalidN("n"), NonFiniteSample("x"), UndefinedBase("b"),
+              NTooLarge("big"), SpiroChainError("e"))
+    for error in passed:
+        with pytest.raises(type(error)) as info:
+            with allocating(7):
+                raise error
+        assert info.value is error
+    with allocating(7):
+        pass
 
 
 def _assert_closed_form_profiles(chain):

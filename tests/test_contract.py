@@ -72,6 +72,9 @@ SAMPLES = (
     | st.lists(st.floats(-3, 3), min_size=100, max_size=150).map(np.array)
     | st.lists(SAMPLE_VALUES, min_size=2, max_size=20, unique=False)
     .filter(lambda xs: len(xs) % 2 == 0).map(lambda xs: np.array(xs).reshape(2, -1))
+    # Python numbers, among them an integer beyond the double range.
+    | st.lists(SAMPLE_VALUES | st.just(10**400), min_size=1, max_size=120)
+    .map(lambda xs: np.array(xs, dtype=object))
 )
 
 SPECS = st.sampled_from([
@@ -198,7 +201,7 @@ def test_sample_statistics_are_finite_or_raise_the_package_errors(samples, bins,
     holds(lambda: sc.histogram(samples, bins).densities())
     holds(lambda: sc.normality_check(samples))
     holds(lambda: sc.standardize(samples, spec, n, UNIFORM))
-    first = float(samples.ravel()[:1].sum())  # a Python float: 0.0 for no sample
+    first = (samples.ravel()[:1].tolist() or [0.0])[0]  # a Python number: 0.0 for no sample
     holds(lambda: sc.standardize(first, spec, n, UNIFORM))
     # README: a trajectory that is not 1-d raises ValueError.
     holds(lambda: sc.martingale_transform(samples, spec, UNIFORM),

@@ -1,10 +1,13 @@
 """Graph representation and degree profiles."""
 
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spirochain import (
     EdgeProfile,
@@ -147,6 +150,55 @@ def test_vertex_count_bound_keeps_edge_keys_in_int64():
 def test_edgeless_graphs_have_no_degree_pairs():
     for g in (MolecularGraph(4, []), MolecularGraph(0, [])):
         assert g.degree_pair_counts == {}
+
+
+def _assert_pair_counts_match_naive(g):
+    _, pairs = naive_degree_profiles(g)
+    assert list(g.degree_pair_counts.items()) == sorted(pairs.items())
+
+
+@st.composite
+def simple_graphs(draw):
+    """Simple graphs on up to 40 vertices, each edge in either row order."""
+    count = draw(st.integers(0, 40))
+    pairs = [(u, v) for u in range(count) for v in range(u + 1, count)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=150)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
+    return MolecularGraph(count, np.array(edges, dtype=np.int64).reshape(-1, 2))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(simple_graphs())
+def test_degree_pair_counts_match_a_naive_count(g):
+    _assert_pair_counts_match_naive(g)
+
+
+def test_degree_pair_counts_on_edge_cases():
+    leaves = 10**5
+    star = MolecularGraph(leaves + 1, [[0, leaf] for leaf in range(1, leaves + 1)])
+    assert star.degree_pair_counts == {(1, leaves): leaves}
+    isolated = MolecularGraph(9, np.vstack([hexagon().edges, [[6, 7]]]))  # vertex 8 is isolated
+    for g in (star, isolated, MolecularGraph(4, []), MolecularGraph(0, []), hexagon(),
+              generate(60, LinkProbabilities.uniform(), 1).graph):
+        _assert_pair_counts_match_naive(g)
+
+
+def test_degree_pair_table_is_linear_in_the_edge_count():
+    # Two adjacent hubs of degree k + 1: a table indexed by the degree pair
+    # itself would hold ~k**2 bins (72 MB here), the rank table four.
+    k = 3000
+    edges = [[0, 1]] + [[0, 2 + i] for i in range(k)] + [[1, 2 + k + i] for i in range(k)]
+    g = MolecularGraph(2 * k + 2, edges)
+    g.degrees  # cached before tracing, like the edges
+    tracemalloc.start()
+    try:
+        pairs = g.degree_pair_counts
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pairs == {(1, k + 1): 2 * k, (k + 1, k + 1): 1}
+    assert peak < 200 * g.edge_count
 
 
 def test_graph_is_immutable():

@@ -9,6 +9,7 @@ import scipy.stats
 from conftest import binomial_chi_square
 from spirochain import (
     DegenerateVariance,
+    DiscreteDistribution,
     EmptySample,
     InvalidN,
     LinkProbabilities,
@@ -19,6 +20,7 @@ from spirochain import (
     SpiroChainError,
     coefficients,
     evaluate,
+    martingale_transform,
     expected_value,
     generate,
     histogram,
@@ -28,6 +30,7 @@ from spirochain import (
     replication_seed,
     rng_from_seed,
     simulate,
+    standardize,
     standardized_sample,
     summarize,
     variance,
@@ -333,6 +336,27 @@ def test_non_finite_samples_are_refused(call):
 )
 def test_samples_whose_statistics_overflow_are_refused(call):
     with pytest.raises(NonFiniteSample, match="overflow float64"):
+        call()
+
+
+HUGE = 10**400  # a Python integer that float64 cannot hold
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: summarize([HUGE]),
+        lambda: histogram([0.0, HUGE], 3),
+        lambda: normality_check([0.0] * 99 + [HUGE]),
+        lambda: standardize(HUGE, registry_lookup("randic"), 10, LinkProbabilities.uniform()),
+        lambda: martingale_transform([0.0, -HUGE], registry_lookup("randic"),
+                                     LinkProbabilities.uniform()),
+        lambda: DiscreteDistribution([1.0, HUGE], [0.5, 0.5]),
+    ],
+    ids=["summarize", "histogram", "normality", "standardize", "martingale", "distribution"],
+)
+def test_integers_beyond_the_double_range_are_refused(call):
+    with pytest.raises(NonFiniteSample, match="beyond the float64 range"):
         call()
 
 
