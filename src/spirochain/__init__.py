@@ -20,22 +20,21 @@ _EXPORTS = {
     "chain": (
         "DEFAULT_MAX_ENUM_N", "GENERATOR_ALGORITHM", "LINK_ORDER", "SEED_MIX_ALGORITHM",
         "LinkProbabilities", "LinkType", "SpiroChain", "draw_link_indexes",
-        "enumerate_all", "generate", "grow", "initial_chain", "links_to_string",
-        "parse_links", "replay", "replication_seed", "rng_from_seed", "splitmix64",
+        "enumerate_all", "generate", "links_to_string", "parse_links", "replay",
+        "replication_seed", "rng_from_seed", "splitmix64",
     ),
     "errors": (
-        "ChainTooShort", "DegenerateVariance", "EmptySample", "InvalidN",
-        "InvalidProbabilities", "KindMismatch", "MissingExponent", "NTooLarge",
-        "NonFiniteSample", "SampleTooSmall", "SpiroChainError", "UndefinedBase",
-        "UnknownIndex", "UnsupportedDegree",
+        "DegenerateVariance", "EmptySample", "InvalidN", "InvalidProbabilities",
+        "KindMismatch", "MissingExponent", "NTooLarge", "NonFiniteSample",
+        "SampleTooSmall", "SpiroChainError", "UndefinedBase", "UnknownIndex",
+        "UnsupportedDegree",
     ),
     "graph": (
-        "EdgeProfile", "MolecularGraph", "VertexProfile", "edge_profile", "hexagon",
-        "vertex_profile",
+        "EdgeProfile", "MolecularGraph", "VertexProfile", "edge_profile", "vertex_profile",
     ),
     "indices": (
-        "EDGE_KIND_NAMES", "REGISTRY_NAMES", "VARIABLE_EXPONENT_NAMES", "IndexKind",
-        "IndexSpec", "evaluate", "evaluate_from_profile", "registry_lookup",
+        "REGISTRY_NAMES", "VARIABLE_EXPONENT_NAMES", "IndexKind", "IndexSpec",
+        "evaluate", "evaluate_from_profile", "registry_lookup",
     ),
     "montecarlo": (
         "HistogramData", "NormalityReport", "SampleSummary", "SimulationResult",

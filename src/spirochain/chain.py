@@ -38,9 +38,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import (
-    ChainTooShort, InvalidN, InvalidProbabilities, NTooLarge, SpiroChainError, require_n,
-)
+from .errors import InvalidProbabilities, NTooLarge, SpiroChainError, require_n
 from .graph import EdgeProfile, MolecularGraph, VertexProfile, _EDGE_DTYPE
 
 GENERATOR_ALGORITHM = "philox4x64-10"
@@ -260,27 +258,6 @@ def chain_vertex_profile(n: int) -> VertexProfile:
     return VertexProfile(c2=4 * n + 2, c4=n - 1)
 
 
-def initial_chain(n: int) -> SpiroChain:
-    """The one- or two-hexagon chain every longer chain starts from."""
-    if require_n(n, minimum=1) > 2:
-        raise InvalidN(f"initial chains have 1 or 2 hexagons, got n={n!r}")
-    return SpiroChain(n, b"")
-
-
-def grow(chain: SpiroChain, link: LinkType) -> SpiroChain:
-    """Attach one hexagon at the given link position; returns a new chain.
-
-    The shared vertex keeps its id and its degree rises from 2 to 4; the
-    five new vertices take the next five ids.  Only chain.links is read:
-    the result is replay(chain.links + (link,)).
-    """
-    if chain.n < 2:
-        raise ChainTooShort(
-            f"growth needs a chain with at least 2 hexagons, got n={chain.n}"
-        )
-    return replay(chain.links + (link,))
-
-
 def replay(links: str | Iterable[LinkType]) -> SpiroChain:
     """The chain with the given links: a string over {O, M, P} such as
     "OMPO", or LinkType members.  Any other entry raises ValueError."""
@@ -291,8 +268,9 @@ def replay(links: str | Iterable[LinkType]) -> SpiroChain:
 class allocating:
     """Context manager that reports numpy's refusal to build an array sized
     by n (a size ValueError or a MemoryError) as NTooLarge naming n; the
-    package's own errors pass through unchanged.  A plain class because a
-    chain enters it three times, and a generator-based one costs ~3x as much."""
+    package's own errors pass through unchanged, and nested ones name the
+    outermost count.  A plain class because a chain enters it three times,
+    and a generator-based one costs ~3x as much."""
 
     def __init__(self, n: int, name: str = "n") -> None:
         self.n, self.name = n, name
@@ -301,10 +279,11 @@ class allocating:
         pass
 
     def __exit__(self, kind, exc, traceback) -> None:
+        exc = getattr(exc, "_refusal", exc)  # an inner allocating's report
         if isinstance(exc, (ValueError, MemoryError)) and not isinstance(exc, SpiroChainError):
-            raise NTooLarge(
-                f"{self.name}={self.n} is too large for the arrays it sizes: {exc}"
-            ) from None
+            error = NTooLarge(f"{self.name}={self.n} is too large for the arrays it sizes: {exc}")
+            error._refusal = exc
+            raise error from None
 
 
 def _coerce_probs(probs) -> LinkProbabilities:
@@ -377,13 +356,15 @@ def draw_link_indexes(
 
     Returns indexes into LINK_ORDER.  The final CDF boundary is pinned to
     1.0 so that uniforms never fall past the last bucket.  `count` is
-    checked like every count (require_n, minimum 0).
+    checked like every count (require_n, minimum 0), and one too large for
+    the arrays it sizes raises NTooLarge.
     """
     count = require_n(count, minimum=0, name="count")
     probs = _coerce_probs(probs)
     cdf = np.array([probs.p_ortho, probs.p_ortho + probs.p_meta, 1.0], dtype=float)
-    u = rng.random(count)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
+    with allocating(count, "count"):
+        u = rng.random(count)
+        return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
 def generate(n: int, probs: LinkProbabilities, seed: int) -> SpiroChain:

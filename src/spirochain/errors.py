@@ -11,10 +11,6 @@ class UnsupportedDegree(SpiroChainError):
     """A profile query met a vertex degree other than 2 or 4."""
 
 
-class ChainTooShort(SpiroChainError):
-    """Growth was attempted on a chain with fewer than two hexagons."""
-
-
 class InvalidN(SpiroChainError, ValueError):
     """A count (hexagons, replications, bins, ...) outside its admissible range."""
 

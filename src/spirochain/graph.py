@@ -73,13 +73,14 @@ class MolecularGraph:
         deg.setflags(write=False)
         return deg
 
-    def degree(self, vertex: int) -> int:
-        return int(self.degrees[vertex])
+    @cached_property
+    def _degree_histogram(self) -> np.ndarray:  # read by both degree tables
+        return np.bincount(self.degrees)
 
     @cached_property
     def degree_counts(self) -> dict[int, int]:
         """Map degree -> number of vertices with that degree."""
-        counts = np.bincount(self.degrees).tolist()
+        counts = self._degree_histogram.tolist()
         return {d: c for d, c in enumerate(counts) if c}
 
     @cached_property
@@ -93,7 +94,7 @@ class MolecularGraph:
         themselves would not be: an edge between two vertices of degree
         10**5 would need 10**10 bins.
         """
-        rank = np.bincount(self.degrees)  # a table by degree, filled with ranks
+        rank = self._degree_histogram.copy()  # a table by degree, filled with ranks
         present = rank.nonzero()[0]
         m = present.size
         rank[present] = np.arange(m)
@@ -144,12 +145,6 @@ class VertexProfile:
     @property
     def total(self) -> int:
         return self.c2 + self.c4
-
-
-def hexagon() -> MolecularGraph:
-    """Six-cycle: 6 vertices, 6 edges, every degree 2."""
-    edges = [(i, (i + 1) % 6) for i in range(6)]
-    return MolecularGraph(6, np.array(edges, dtype=_EDGE_DTYPE))
 
 
 def _require_degrees_24(g: MolecularGraph) -> None:

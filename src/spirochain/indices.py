@@ -142,10 +142,6 @@ REGISTRY_NAMES: tuple[str, ...] = tuple(_REGISTRY)
 VARIABLE_EXPONENT_NAMES: tuple[str, ...] = tuple(
     name for name, spec in _REGISTRY.items() if spec.exponent is None
 )
-EDGE_KIND_NAMES: tuple[str, ...] = tuple(
-    name for name, spec in _REGISTRY.items()
-    if spec.kind is IndexKind.EDGE and spec.exponent is not None
-)
 
 
 def registry_lookup(name: str, a: float | None = None) -> IndexSpec:

@@ -11,7 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rel_close
+from conftest import assert_matches_reference, rel_close
 from spirochain import (
     DegenerateVariance,
     DiscreteDistribution,
@@ -25,8 +25,6 @@ from spirochain import (
     evaluate,
     exact_distribution,
     expected_value,
-    grow,
-    initial_chain,
     martingale_residual_check,
     log_mgf,
     martingale_transform,
@@ -120,7 +118,8 @@ def test_deterministic_detection():
 
 
 def test_per_realization_identity_on_one_chain():
-    chain = grow(grow(initial_chain(2), LinkType.ORTHO), LinkType.PARA)
+    chain = replay("OP")
+    assert_matches_reference(chain)
     for spec in (NIRMALA, ZAGREB2, SOMBOR):
         c = coefficients(spec, UNIFORM)
         predicted = c.A + c.B * 1 + c.C * chain.n
@@ -526,12 +525,10 @@ def test_martingale_transform_single_step_identity():
 def test_martingale_increments_are_bounded():
     c = coefficients(SOMBOR, HALF)
     bound = 2 * max(abs(a) for a in c.alphas)
-    chain = initial_chain(2)
-    trajectory = [evaluate(SOMBOR, chain.graph)]
     rng = np.random.default_rng(5)
-    for _ in range(30):
-        chain = grow(chain, list(LinkType)[rng.integers(3)])
-        trajectory.append(evaluate(SOMBOR, chain.graph))
+    links = [list(LinkType)[rng.integers(3)] for _ in range(30)]
+    assert_matches_reference(replay(links))
+    trajectory = [evaluate(SOMBOR, replay(links[:j]).graph) for j in range(len(links) + 1)]
     transformed = martingale_transform(trajectory, SOMBOR, HALF)
     assert np.max(np.abs(np.diff(transformed))) <= bound + 1e-12
 

@@ -17,11 +17,13 @@ import spirochain
 from spirochain import (
     LinkProbabilities,
     NTooLarge,
+    draw_link_indexes,
     exact_distribution,
     generate,
     histogram,
     martingale_residual_check,
     registry_lookup,
+    rng_from_seed,
     simulate,
 )
 from spirochain.cli import main
@@ -49,6 +51,8 @@ def test_other_counts_too_large_are_named():
         simulate(RANDIC, 10, UNIFORM, HUGE, 0)
     with pytest.raises(NTooLarge, match=r"bins=1000+ is too large"):
         histogram([0.0, 1.0], HUGE)
+    with pytest.raises(NTooLarge, match=rf"count={10**19} is too large"):
+        draw_link_indexes(rng_from_seed(0), 10**19, UNIFORM)
     for bins in (2**63 - 1, 2**63):  # numpy fails on its count of edges, allocating nothing
         with pytest.raises(NTooLarge, match=rf"bins={bins} is too large"):
             histogram([0.0, 1.0], bins)

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import spirochain as sc
 from conftest import assert_matches_reference
 from spirochain import (
-    ChainTooShort,
     EdgeProfile,
     InvalidN,
     InvalidProbabilities,
@@ -32,8 +31,6 @@ from spirochain import (
     edge_profile,
     enumerate_all,
     generate,
-    grow,
-    initial_chain,
     links_to_string,
     parse_links,
     replay,
@@ -51,25 +48,18 @@ link_lists = st.lists(st.sampled_from(list(LinkType)), max_size=40)
 
 
 def test_initial_chains():
-    one = initial_chain(1)
+    one = sc.SpiroChain(1, b"")
     assert one.n == 1
     assert one.graph.vertex_count == 6 and one.graph.edge_count == 6
     assert one.terminal_cut_vertex is None
 
-    two = initial_chain(2)
+    two = sc.SpiroChain(2, b"")
     assert two.n == 2
     assert two.graph.vertex_count == 11 and two.graph.edge_count == 12
     assert vertex_profile(two.graph).c4 == 1
     assert edge_profile(two.graph) == EdgeProfile(8, 4, 0)
     assert two.links == ()
-
-    with pytest.raises(InvalidN):
-        initial_chain(3)
-
-
-def test_grow_needs_two_hexagons():
-    with pytest.raises(ChainTooShort):
-        grow(initial_chain(1), LinkType.ORTHO)
+    assert two == replay("")
 
 
 @pytest.mark.parametrize(
@@ -81,7 +71,8 @@ def test_grow_needs_two_hexagons():
     ],
 )
 def test_grow_edge_profiles(link, profile):
-    chain = grow(initial_chain(2), link)
+    chain = replay([link])
+    assert_matches_reference(chain)
     assert chain.n == 3
     assert edge_profile(chain.graph) == profile
     # the shared vertex is the only new degree-4 vertex
@@ -89,25 +80,21 @@ def test_grow_edge_profiles(link, profile):
 
 
 def test_grow_appends_link_and_raises_shared_degree():
-    seed = initial_chain(2)
-    grown = grow(seed, LinkType.META)
+    seed, grown = replay(""), replay("M")
+    assert_matches_reference(grown)
     assert grown.links == (LinkType.META,)
-    assert seed.graph.degree(grown.terminal_cut_vertex) == 2
-    assert grown.graph.degree(grown.terminal_cut_vertex) == 4
+    assert seed.graph.degrees[grown.terminal_cut_vertex] == 2
+    assert grown.graph.degrees[grown.terminal_cut_vertex] == 4
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(link_lists)
 def test_replay_matches_folding_grow(links):
-    folded = initial_chain(2)
-    for link in links:
-        folded = grow(folded, link)
+    # reference_replay is the fold: it attaches one hexagon per link.
     replayed = replay(links)
     assert replayed.n == len(links) + 2
     assert replayed.links == tuple(links)
     assert_matches_reference(replayed)
-    assert_matches_reference(folded)
-    assert folded.links == replayed.links
 
 
 @pytest.mark.parametrize("n", [2, 3, 50, 2000])
@@ -129,7 +116,7 @@ def test_chain_invariants_hold_for_any_link_sequence(links):
 
 
 def test_replay_examples():
-    assert replay([]).graph == initial_chain(2).graph
+    assert replay([]).graph == sc.SpiroChain(2, b"").graph
     assert edge_profile(replay([LinkType.ORTHO]).graph) == EdgeProfile(11, 6, 1)
     five = replay([LinkType.META, LinkType.ORTHO, LinkType.ORTHO])
     assert five.n == 5
@@ -476,7 +463,7 @@ def _assert_closed_form_profiles(chain):
 
 
 def test_closed_form_profiles_match_the_graph_on_every_short_chain():
-    _assert_closed_form_profiles(initial_chain(1))
+    _assert_closed_form_profiles(sc.SpiroChain(1, b""))
     for n in range(2, 9):
         for links, _ in enumerate_all(n, UNIFORM):
             _assert_closed_form_profiles(replay(links))
@@ -505,7 +492,9 @@ def test_chain_is_its_link_codes():
     chain = generate(12, UNIFORM, 3)
     assert chain.codes == links_to_string(chain.links).encode()
     assert sc.SpiroChain(12, chain.codes) == chain
-    assert initial_chain(1).graph == sc.hexagon()
+    assert sc.SpiroChain(1, b"").graph.edges.tolist() == [
+        [0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5],
+    ]
     with pytest.raises(ValueError, match="n=5 requires 3 links, got 1"):
         sc.SpiroChain(5, b"O")
 
@@ -514,7 +503,7 @@ def test_numpy_integer_counts_are_stored_as_python_ints():
     chain = sc.SpiroChain(np.int64(3), b"O")
     assert type(chain.n) is int
     assert type(chain.graph.vertex_count) is int
-    assert type(initial_chain(np.int64(1)).n) is int
+    assert type(sc.SpiroChain(np.int64(1), b"").n) is int
     for profile in (chain.edge_profile(), chain.vertex_profile()):
         assert all(type(count) is int for count in dataclasses.astuple(profile))
     assert json.loads(json.dumps(chain.graph.to_dict()))["vertices"] == 16
@@ -523,8 +512,7 @@ def test_numpy_integer_counts_are_stored_as_python_ints():
     }
 
 
-@pytest.mark.parametrize("make", [lambda n: sc.SpiroChain(n, b""), initial_chain],
-                         ids=["SpiroChain", "initial_chain"])
+@pytest.mark.parametrize("make", [lambda n: sc.SpiroChain(n, b"")], ids=["SpiroChain"])
 @pytest.mark.parametrize("n", [True, 2.0, 0], ids=["bool", "float", "zero"])
 def test_chains_refuse_an_n_that_is_not_a_count(make, n):
     with pytest.raises(InvalidN):
@@ -579,8 +567,8 @@ def assert_chain_writes_its_graph(chain):
 
 
 def test_chain_writer_matches_the_graph_on_every_short_chain():
-    assert_chain_writes_its_graph(initial_chain(1))
-    assert_chain_writes_its_graph(initial_chain(2))
+    assert_chain_writes_its_graph(sc.SpiroChain(1, b""))
+    assert_chain_writes_its_graph(sc.SpiroChain(2, b""))
     for n in range(3, 10):
         for links, _ in enumerate_all(n, UNIFORM):
             assert_chain_writes_its_graph(replay(links))

@@ -1,5 +1,6 @@
-"""The package's export table: each public name is listed once, is bound to
-its module's object, and nothing else public reaches the package."""
+"""The package's export table: it holds exactly the pinned names, each is
+listed once and bound to its module's object, and nothing else public
+reaches the package."""
 
 import importlib
 import os
@@ -10,6 +11,43 @@ from pathlib import Path
 import spirochain
 
 SUBMODULES = ("analytics", "chain", "errors", "graph", "indices", "montecarlo")
+
+# The public surface, frozen like the CLI's flags: a change to the surface
+# edits this table on purpose.
+SURFACE = {
+    "analytics": (
+        "COMPARISON_ORDER", "ChainCoefficients", "DiscreteDistribution",
+        "ExpectationOrdering", "coefficients", "compare_expectations",
+        "exact_distribution", "expected_value", "log_mgf", "martingale_transform",
+        "mgf", "second_moment", "standardize", "variance",
+    ),
+    "chain": (
+        "DEFAULT_MAX_ENUM_N", "GENERATOR_ALGORITHM", "LINK_ORDER", "SEED_MIX_ALGORITHM",
+        "LinkProbabilities", "LinkType", "SpiroChain", "draw_link_indexes",
+        "enumerate_all", "generate", "links_to_string", "parse_links", "replay",
+        "replication_seed", "rng_from_seed", "splitmix64",
+    ),
+    "errors": (
+        "DegenerateVariance", "EmptySample", "InvalidN", "InvalidProbabilities",
+        "KindMismatch", "MissingExponent", "NTooLarge", "NonFiniteSample",
+        "SampleTooSmall", "SpiroChainError", "UndefinedBase", "UnknownIndex",
+        "UnsupportedDegree",
+    ),
+    "graph": ("EdgeProfile", "MolecularGraph", "VertexProfile", "edge_profile", "vertex_profile"),
+    "indices": (
+        "REGISTRY_NAMES", "VARIABLE_EXPONENT_NAMES", "IndexKind", "IndexSpec",
+        "evaluate", "evaluate_from_profile", "registry_lookup",
+    ),
+    "montecarlo": (
+        "HistogramData", "NormalityReport", "SampleSummary", "SimulationResult",
+        "histogram", "martingale_residual_check", "normality_check", "simulate",
+        "standardized_sample", "summarize",
+    ),
+}
+
+
+def test_the_public_surface_is_pinned():
+    assert spirochain._EXPORTS == SURFACE
 
 
 def test_no_name_appears_twice_in_the_table():

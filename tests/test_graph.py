@@ -15,14 +15,15 @@ from spirochain import (
     LinkProbabilities,
     MolecularGraph,
     NTooLarge,
+    SpiroChain,
     UnsupportedDegree,
     VertexProfile,
     edge_profile,
     generate,
-    hexagon,
-    initial_chain,
     vertex_profile,
 )
+
+HEXAGON = SpiroChain(1, b"").graph
 
 
 def naive_degree_profiles(graph):
@@ -38,16 +39,16 @@ def naive_degree_profiles(graph):
 
 
 def test_hexagon_is_a_six_cycle():
-    g = hexagon()
+    g = HEXAGON
     assert g.vertex_count == 6
     assert g.edge_count == 6
-    assert all(g.degree(v) == 2 for v in range(6))
+    assert all(g.degrees[v] == 2 for v in range(6))
     assert edge_profile(g) == EdgeProfile(m22=6, m24=0, m44=0)
     assert vertex_profile(g) == VertexProfile(c2=6, c4=0)
 
 
 def test_seed_chain_profiles():
-    g = initial_chain(2).graph
+    g = SpiroChain(2, b"").graph
     assert edge_profile(g) == EdgeProfile(8, 4, 0)
     assert vertex_profile(g) == VertexProfile(10, 1)
 
@@ -92,7 +93,7 @@ def test_profiles_reject_other_degrees():
     with pytest.raises(UnsupportedDegree):
         vertex_profile(claw)
     # isolated vertex has degree 0 even though every edge looks fine
-    lonely = MolecularGraph(7, hexagon().edges)
+    lonely = MolecularGraph(7, HEXAGON.edges)
     with pytest.raises(UnsupportedDegree):
         vertex_profile(lonely)
 
@@ -101,7 +102,7 @@ def test_degree_counts_list_each_present_degree_in_ascending_order():
     graphs = [
         MolecularGraph(0, np.empty((0, 2))),
         MolecularGraph(3, np.empty((0, 2))),
-        MolecularGraph(7, hexagon().edges),
+        MolecularGraph(7, HEXAGON.edges),
         MolecularGraph(4, np.array([[0, 1], [1, 2], [1, 3]])),
         generate(40, LinkProbabilities.uniform(), 2).graph,
     ]
@@ -178,8 +179,8 @@ def test_degree_pair_counts_on_edge_cases():
     leaves = 10**5
     star = MolecularGraph(leaves + 1, [[0, leaf] for leaf in range(1, leaves + 1)])
     assert star.degree_pair_counts == {(1, leaves): leaves}
-    isolated = MolecularGraph(9, np.vstack([hexagon().edges, [[6, 7]]]))  # vertex 8 is isolated
-    for g in (star, isolated, MolecularGraph(4, []), MolecularGraph(0, []), hexagon(),
+    isolated = MolecularGraph(9, np.vstack([HEXAGON.edges, [[6, 7]]]))  # vertex 8 is isolated
+    for g in (star, isolated, MolecularGraph(4, []), MolecularGraph(0, []), HEXAGON,
               generate(60, LinkProbabilities.uniform(), 1).graph):
         _assert_pair_counts_match_naive(g)
 
@@ -202,7 +203,7 @@ def test_degree_pair_table_is_linear_in_the_edge_count():
 
 
 def test_graph_is_immutable():
-    g = hexagon()
+    g = HEXAGON
     with pytest.raises(ValueError):
         g.edges[0, 0] = 99
     with pytest.raises(ValueError):
@@ -220,7 +221,7 @@ def test_graph_equality_is_by_edge_set():
 
 
 def test_to_dict_round_trips():
-    g = initial_chain(2).graph
+    g = SpiroChain(2, b"").graph
     payload = g.to_dict()
     assert payload["vertices"] == 11
     rebuilt = MolecularGraph(payload["vertices"], np.array(payload["edges"]))

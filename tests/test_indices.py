@@ -13,6 +13,7 @@ from spirochain import (
     LinkProbabilities,
     MissingExponent,
     MolecularGraph,
+    SpiroChain,
     UndefinedBase,
     UnknownIndex,
     VertexProfile,
@@ -20,16 +21,14 @@ from spirochain import (
     evaluate,
     evaluate_from_profile,
     generate,
-    hexagon,
-    initial_chain,
     parse_links,
     registry_lookup,
     replay,
     vertex_profile,
 )
-from spirochain.indices import EDGE_KIND_NAMES, REGISTRY_NAMES
+from spirochain.indices import REGISTRY_NAMES, VARIABLE_EXPONENT_NAMES
 
-SEED_GRAPH = initial_chain(2).graph
+SEED_GRAPH = SpiroChain(2, b"").graph
 UNIFORM = LinkProbabilities.uniform()
 
 
@@ -67,7 +66,7 @@ def test_registry_refuses_a_non_finite_exponent(a):
 
 def test_known_values_on_small_graphs():
     assert evaluate(registry_lookup("first-zagreb"), SEED_GRAPH) == 56.0
-    assert evaluate(registry_lookup("nirmala"), hexagon()) == 12.0
+    assert evaluate(registry_lookup("nirmala"), SpiroChain(1, b"").graph) == 12.0
     randic = evaluate(registry_lookup("randic"), SEED_GRAPH)
     assert math.isclose(randic, 4 + math.sqrt(2), rel_tol=1e-14)
     sombor = evaluate(registry_lookup("sombor"), SEED_GRAPH)
@@ -211,7 +210,12 @@ def test_first_zagreb_is_exactly_affine_in_n():
 
 
 def test_edge_kind_name_list():
-    assert set(EDGE_KIND_NAMES) == {
+    kinds = {name: registry_lookup(name).kind
+             for name in REGISTRY_NAMES if name not in VARIABLE_EXPONENT_NAMES}
+    assert {name for name, kind in kinds.items() if kind is IndexKind.EDGE} == {
         "second-zagreb", "randic", "sum-connectivity",
         "harmonic", "nirmala", "sombor",
+    }
+    assert {name for name, kind in kinds.items() if kind is IndexKind.VERTEX} == {
+        "first-zagreb", "forgotten", "inverse-degree",
     }
