@@ -25,9 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import (
-    LinkProbabilities, _coerce_probs, allocating, chain_edge_profile, chain_vertex_profile,
-)
+from .chain import LinkProbabilities, _coerce_probs, allocating, replay
 from .errors import DegenerateVariance, NonFiniteSample, UndefinedBase, require_n
 from .indices import IndexKind, IndexSpec, evaluate_from_profile, registry_lookup
 
@@ -37,9 +35,9 @@ _DETERMINISTIC_RTOL = 1e-12
 
 COMPARISON_ORDER = ("randic", "nirmala", "sombor", "first-zagreb", "second-zagreb")
 
-# (n, ortho count) of the 2-hexagon seed and of the 3-hexagon chains grown
-# from it by an ortho and by a meta link (para yields the meta profile).
-_GROWTH_CHAINS = ((2, 0), (3, 1), (3, 0))
+# The 2-hexagon seed and the 3-hexagon chains grown from it by an ortho and
+# by a meta link (para yields the meta profile).
+_GROWTH_CHAINS = (replay(""), replay("O"), replay("M"))
 
 
 @dataclass(frozen=True)
@@ -64,10 +62,6 @@ class ChainCoefficients:
     deterministic: bool
     p_ortho: float
 
-    @property
-    def alphas(self) -> tuple[float, float, float]:
-        return (self.alpha_ortho, self.alpha_meta, self.alpha_para)
-
 
 def coefficients(spec: IndexSpec, probs: LinkProbabilities) -> ChainCoefficients:
     """Per-link increments and derived constants of `spec` on chains.
@@ -78,9 +72,9 @@ def coefficients(spec: IndexSpec, probs: LinkProbabilities) -> ChainCoefficients
     Raises UndefinedBase when a constant overflows the double range.
     """
     if spec.kind is IndexKind.EDGE:
-        profiles = [chain_edge_profile(n, k) for n, k in _GROWTH_CHAINS]
+        profiles = [chain.edge_profile() for chain in _GROWTH_CHAINS]
     else:
-        profiles = [chain_vertex_profile(n) for n, _ in _GROWTH_CHAINS]
+        profiles = [chain.vertex_profile() for chain in _GROWTH_CHAINS]
     ti2, ortho, meta = (evaluate_from_profile(spec, p) for p in profiles)
     alpha_ortho = ortho - ti2
     alpha_meta = meta - ti2

@@ -56,11 +56,6 @@ class LinkType(enum.Enum):
     META = "M"
     PARA = "P"
 
-    # Members are singletons compared by identity, so the identity hash is
-    # consistent with equality; Enum's own __hash__ is a Python-level call
-    # that every per-link dict lookup would pay.
-    __hash__ = object.__hash__
-
 
 LINK_ORDER = (LinkType.ORTHO, LinkType.META, LinkType.PARA)
 
@@ -80,8 +75,8 @@ _RING_EDGES = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 0, 5])
 # arrays at six-digit ids) stay in L2 through its digit passes.
 _BLOCK_RINGS = 5461
 
-# Per thread, the _rekeyable stream that generate draws from while no call
-# of that thread holds it.
+# Per thread, the Philox and its fresh state that _held_stream hands out
+# while no call of that thread holds them.
 _IDLE_STREAM = threading.local()
 
 
@@ -132,12 +127,9 @@ class LinkProbabilities:
 @dataclass(frozen=True)
 class SpiroChain:
     """An n-hexagon chain held as its link codes, one byte per link over
-    b"OMP"; its rings and its graph are built on first use.
-
-    terminal_hexagon lists the newest hexagon's vertex ids in ring order;
-    terminal_cut_vertex is the vertex it shares with its predecessor (None
-    only for the single-hexagon chain).  n must be an integer >= 1
-    (InvalidN otherwise) and codes must be bytes (TypeError otherwise).
+    b"OMP"; its rings and its graph are built on first use.  n must be an
+    integer >= 1 (InvalidN otherwise) and codes must be bytes (TypeError
+    otherwise).
     """
 
     n: int
@@ -223,39 +215,19 @@ class SpiroChain:
             yield rows.tobytes().replace(b"\0", b"")
         yield b"]"
 
-    @property
-    def terminal_cut_vertex(self) -> int | None:
-        return int(self._rings[-1, 0]) if self.n > 1 else None
-
-    @property
-    def terminal_hexagon(self) -> tuple[int, ...]:
-        return tuple(self._rings[-1].tolist())
-
     def edge_profile(self) -> EdgeProfile:
         """Edge counts by endpoint degrees, in closed form from n and the
-        ortho count; equal to graph.edge_profile(self.graph)."""
-        return chain_edge_profile(self.n, self.ortho_count)
+        ortho count k; equal to graph.edge_profile(self.graph).  An ortho
+        link makes one (2,2) and one (4,4) edge where a meta or para link
+        makes two (2,4) edges; n = 1 gives the bare hexagon (6, 0, 0)."""
+        n, k = self.n, self.ortho_count
+        return EdgeProfile(m22=2 * n + 4 + k, m24=4 * (n - 1) - 2 * k, m44=k)
 
     def vertex_profile(self) -> VertexProfile:
         """Vertex counts by degree, in closed form from n; equal to
-        graph.vertex_profile(self.graph)."""
-        return chain_vertex_profile(self.n)
-
-
-def chain_edge_profile(n: int, ortho_count: int) -> EdgeProfile:
-    """Edge profile of every n-hexagon chain with `ortho_count` ortho links.
-
-    An ortho link makes one (2,2) and one (4,4) edge where a meta or para
-    link makes two (2,4) edges.  n = 1 gives the bare hexagon (6, 0, 0).
-    """
-    k = ortho_count
-    return EdgeProfile(m22=2 * n + 4 + k, m24=4 * (n - 1) - 2 * k, m44=k)
-
-
-def chain_vertex_profile(n: int) -> VertexProfile:
-    """Vertex profile of every n-hexagon chain: its n - 1 shared vertices
-    have degree 4, the other 4n + 2 degree 2."""
-    return VertexProfile(c2=4 * n + 2, c4=n - 1)
+        graph.vertex_profile(self.graph): the n - 1 shared vertices have
+        degree 4, the other 4n + 2 degree 2."""
+        return VertexProfile(c2=4 * self.n + 2, c4=self.n - 1)
 
 
 def replay(links: str | Iterable[LinkType]) -> SpiroChain:
@@ -318,35 +290,45 @@ def replication_seed(seed: int, index: int) -> int:
     return (operator.index(seed) & _MASK64) ^ splitmix64(index & _MASK64)
 
 
-def _rekeyable() -> tuple[np.random.Generator, dict]:
-    """A Philox Generator and its fresh state, the template _rekeyed keys."""
-    rng = rng_from_seed(0)
-    return rng, rng.bit_generator.state
+class _held_stream:
+    """Context manager that holds its thread's idle Philox and the Philox's
+    fresh state (built on the thread's first use) and puts them back on
+    exit.  While one call holds them, a nested call (a probability's
+    __float__, a signal handler, a generate between two replication steps)
+    finds none idle and builds its own, so no call disturbs another's
+    stream.  A plain class for the same reason as allocating."""
 
+    def __enter__(self) -> "_held_stream":
+        held = vars(_IDLE_STREAM).pop("stream", None)
+        if held is None:
+            rng = rng_from_seed(0)
+            held = rng, rng.bit_generator.state
+        self.rng, self.fresh = held
+        return self
 
-def _rekeyed(stream: tuple[np.random.Generator, dict], seed: int) -> np.random.Generator:
-    """Reset a _rekeyable stream to the state rng_from_seed(seed) starts
-    from: key [seed mod 2**64, 0], counter 0, empty buffer.  That skips the
-    OS entropy each Philox constructor gathers only for the key to override
-    it.  A float or a string seed raises TypeError, as in rng_from_seed."""
-    rng, state = stream
-    state["state"]["key"][0] = operator.index(seed) & _MASK64
-    rng.bit_generator.state = state
-    return rng
+    def __exit__(self, kind, exc, traceback) -> None:
+        _IDLE_STREAM.stream = self.rng, self.fresh
+
+    def keyed(self, seed: int) -> np.random.Generator:
+        """The held Philox reset to the state rng_from_seed(seed) starts
+        from: key [seed mod 2**64, 0], counter 0, empty buffer.  That skips
+        the OS entropy each Philox constructor gathers only for the key to
+        override it.  A float or a string seed raises TypeError, as in
+        rng_from_seed."""
+        self.fresh["state"]["key"][0] = operator.index(seed) & _MASK64
+        self.rng.bit_generator.state = self.fresh
+        return self.rng
 
 
 def _replication_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
     """Yield the stream rng_from_seed(replication_seed(seed, r)) for each
-    r in range(count).
-
-    One Philox is built per call, not taken from generate's, so that a
-    generate call made between two steps cannot disturb a stream.  The same
+    r in range(count), from the held Philox that generate uses.  The same
     Generator is yielded every time, so a stream is valid only until the
-    next step.
-    """
-    stream = _rekeyable()
-    for r in range(count):
-        yield _rekeyed(stream, replication_seed(seed, r))
+    next step; the Philox goes back when the iteration ends (or the
+    generator is closed)."""
+    with _held_stream() as stream:
+        for r in range(count):
+            yield stream.keyed(replication_seed(seed, r))
 
 
 def draw_link_indexes(
@@ -375,36 +357,30 @@ def generate(n: int, probs: LinkProbabilities, seed: int) -> SpiroChain:
     from a Philox that each thread builds once and rekeys per call.
     """
     steps = require_n(n) - 2
-    # A call holds its thread's stream while it draws, so a nested call (a
-    # probability's __float__, a signal handler) builds one of its own.
-    stream = vars(_IDLE_STREAM).pop("stream", None) or _rekeyable()
-    try:
-        with allocating(n):
-            indexes = draw_link_indexes(_rekeyed(stream, seed), steps, probs)
-            return SpiroChain(steps + 2, np.frombuffer(_CODES, np.uint8)[indexes].tobytes())
-    finally:
-        _IDLE_STREAM.stream = stream
+    with _held_stream() as stream, allocating(n):
+        indexes = draw_link_indexes(stream.keyed(seed), steps, probs)
+        return SpiroChain(steps + 2, np.frombuffer(_CODES, np.uint8)[indexes].tobytes())
 
 
 def enumerate_all(
-    n: int, probs: LinkProbabilities, max_n: int | None = None
+    n: int, probs: LinkProbabilities
 ) -> Iterator[tuple[tuple[LinkType, ...], float]]:
     """Yield every link sequence of an n-hexagon chain with its probability.
 
     Weights are the product of the per-link probabilities, computed in the
     numeric type of the inputs (pass Fractions for exact arithmetic); they
-    sum to 1 over the full 3**(n-2) sweep.  The cap (DEFAULT_MAX_ENUM_N
-    unless max_n is given) guards against runaway sweeps.
+    sum to 1 over the full 3**(n-2) sweep.  The cap DEFAULT_MAX_ENUM_N
+    guards against runaway sweeps.
     """
     n = require_n(n)
-    cap = DEFAULT_MAX_ENUM_N if max_n is None else require_n(max_n, name="max_n")
-    if n > cap:
+    if n > DEFAULT_MAX_ENUM_N:
         raise NTooLarge(
-            f"n={n} exceeds the enumeration cap {cap} (3**{n - 2} sequences)"
+            f"n={n} exceeds the enumeration cap {DEFAULT_MAX_ENUM_N} (3**{n - 2} sequences)"
         )
-    weights = dict(zip(LINK_ORDER, _coerce_probs(probs).as_tuple()))
-    for combo in itertools.product(LINK_ORDER, repeat=n - 2):
-        yield combo, math.prod(weights[link] for link in combo)
+    # The two products run in step: each combo with its per-link weights.
+    weights = itertools.product(_coerce_probs(probs).as_tuple(), repeat=n - 2)
+    for combo, factors in zip(itertools.product(LINK_ORDER, repeat=n - 2), weights):
+        yield combo, math.prod(factors)
 
 
 def links_to_string(links: Iterable[LinkType]) -> str:

@@ -16,8 +16,6 @@ standardized view of a deterministic index was requested), 4 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import re
@@ -33,7 +31,9 @@ from .chain import (
     generate,
     replay,
 )
-from .errors import DegenerateVariance, MissingExponent, SpiroChainError, require_n
+from .errors import (
+    DegenerateVariance, InvalidProbabilities, MissingExponent, SpiroChainError, require_n,
+)
 from .indices import (
     REGISTRY_NAMES, VARIABLE_EXPONENT_NAMES, IndexKind, evaluate_from_profile,
     registry_lookup,
@@ -43,8 +43,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_INTERNAL = 4
-
-_PROB_SUM_TOL = 1e-9
 
 # argparse's own matcher (`^-\d+$|^-\d*\.\d+$` in 3.11) reads a value such
 # as -1e-3 or -inf as a flag, so `--a -1e-3` would fail; this one takes them.
@@ -76,10 +74,11 @@ def _resolve(args: argparse.Namespace) -> None:
                       else LinkProbabilities.from_ortho(args.p_ortho))
     elif None in trio:
         raise UsageError("give --p-ortho alone, all of --p-ortho/--p-meta/--p-para, or none")
-    elif abs(sum(trio) - 1) > _PROB_SUM_TOL:
-        raise UsageError(f"--p-ortho/--p-meta/--p-para must sum to 1, got {sum(trio)!r}")
     else:
-        args.probs = LinkProbabilities(*(p / sum(trio) for p in trio))
+        try:
+            args.probs = LinkProbabilities(*trio)
+        except InvalidProbabilities as exc:
+            raise UsageError(f"--p-ortho/--p-meta/--p-para: {exc}") from None
     if args.format == "csv" and args.to_csv is None:
         raise UsageError(f"--format csv is not supported for {args.command}")
 
@@ -93,11 +92,9 @@ def _echo(args: argparse.Namespace) -> dict:
 def _csv_text(header: list[str], rows: list[list]) -> str:
     if any(isinstance(x, float) and not math.isfinite(x) for row in rows for x in row):
         raise ValueError("a non-finite value reached the CSV output")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)  # None is written as an empty field
-    return buffer.getvalue()
+    # No field holds a comma, a quote or a newline, so none needs quoting.
+    return "".join([",".join(["" if x is None else str(x) for x in row]) + "\n"
+                    for row in (header, *rows)])
 
 
 def _emit(args: argparse.Namespace, payload, files) -> None:

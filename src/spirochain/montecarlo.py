@@ -234,7 +234,8 @@ def martingale_residual_check(
     starts = range(0, trajectories, _TRAJECTORY_BLOCK)
     with allocating(n):
         tally = np.zeros(steps, dtype=np.int64)
-        for start, rng in zip(starts, _replication_streams(seed, len(starts))):
+        # Streams first: zip then runs them out, and their Philox goes back.
+        for rng, start in zip(_replication_streams(seed, len(starts)), starts):
             size = min(_TRAJECTORY_BLOCK, trajectories - start)
             u = rng.random(size * steps)
             tally += np.count_nonzero(u.reshape(size, steps) < c.p_ortho, axis=0)

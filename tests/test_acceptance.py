@@ -101,9 +101,9 @@ def test_02_exact_distribution_and_mgf_match_enumeration(enum_oracle):
                     closed = mgf(spec, n, probs, t)
                     oracle = float(np.dot(weights, np.exp(t * values)))
                     assert rel_close(closed, oracle, MGF_RTOL), (name, n, t)
+                    alphas = (coeffs.alpha_ortho, coeffs.alpha_meta, coeffs.alpha_para)
                     factor = sum(
-                        math.exp(t * a) * p
-                        for a, p in zip(coeffs.alphas, probs.as_tuple())
+                        math.exp(t * a) * p for a, p in zip(alphas, probs.as_tuple())
                     )
                     identity = math.exp(t * coeffs.ti2) * factor ** (n - 2)
                     assert rel_close(closed, identity, MGF_RTOL), (name, n, t)
@@ -177,7 +177,7 @@ def test_06_martingale_residuals():
         c = coefficients(spec, UNIFORM)
         sd = math.sqrt(sum(
             p * (a - c.alpha_bar) ** 2
-            for a, p in zip(c.alphas, UNIFORM.as_tuple())
+            for a, p in zip((c.alpha_ortho, c.alpha_meta, c.alpha_para), UNIFORM.as_tuple())
         ))
         residual = martingale_residual_check(spec, UNIFORM, n, trajectories, seed)
         assert residual <= 5 * sd / math.sqrt(trajectories), (name, residual)

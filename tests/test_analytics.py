@@ -329,7 +329,7 @@ def test_mgf_factorizes_over_growth_steps():
     for t in (-0.05, 0.02):
         step = sum(
             math.exp(t * a) * p
-            for a, p in zip(c.alphas, HALF.as_tuple())
+            for a, p in zip((c.alpha_ortho, c.alpha_meta, c.alpha_para), HALF.as_tuple())
         )
         assert rel_close(mgf(SOMBOR, 9, HALF, t), mgf(SOMBOR, 8, HALF, t) * step, 1e-10)
 
@@ -515,7 +515,7 @@ def test_martingale_transform_of_deterministic_trajectory():
 
 def test_martingale_transform_single_step_identity():
     c = coefficients(ZAGREB2, UNIFORM)
-    for alpha in c.alphas:
+    for alpha in (c.alpha_ortho, c.alpha_meta, c.alpha_para):
         transformed = martingale_transform([c.ti2, c.ti2 + alpha], ZAGREB2, UNIFORM)
         assert math.isclose(
             transformed[1] - transformed[0], alpha - c.alpha_bar, abs_tol=1e-12
@@ -524,7 +524,7 @@ def test_martingale_transform_single_step_identity():
 
 def test_martingale_increments_are_bounded():
     c = coefficients(SOMBOR, HALF)
-    bound = 2 * max(abs(a) for a in c.alphas)
+    bound = 2 * max(abs(a) for a in (c.alpha_ortho, c.alpha_meta, c.alpha_para))
     rng = np.random.default_rng(5)
     links = [list(LinkType)[rng.integers(3)] for _ in range(30)]
     assert_matches_reference(replay(links))
@@ -547,10 +547,9 @@ def test_variance_rate_is_never_negative(probs, exponent):
 def test_increments_are_centered_under_the_link_law(probs):
     for spec in (NIRMALA, ZAGREB2, ZAGREB1):
         c = coefficients(spec, probs)
-        residual = sum(
-            p * (a - c.alpha_bar) for a, p in zip(c.alphas, probs.as_tuple())
-        )
-        scale = max(1.0, *(abs(a) for a in c.alphas))
+        alphas = (c.alpha_ortho, c.alpha_meta, c.alpha_para)
+        residual = sum(p * (a - c.alpha_bar) for a, p in zip(alphas, probs.as_tuple()))
+        scale = max(1.0, *(abs(a) for a in alphas))
         assert abs(residual) <= 1e-12 * scale
 
 

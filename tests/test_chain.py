@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spirochain as sc
-from conftest import assert_matches_reference
+from conftest import assert_matches_reference, reference_replay
 from spirochain import (
     EdgeProfile,
     InvalidN,
@@ -51,7 +51,6 @@ def test_initial_chains():
     one = sc.SpiroChain(1, b"")
     assert one.n == 1
     assert one.graph.vertex_count == 6 and one.graph.edge_count == 6
-    assert one.terminal_cut_vertex is None
 
     two = sc.SpiroChain(2, b"")
     assert two.n == 2
@@ -83,8 +82,9 @@ def test_grow_appends_link_and_raises_shared_degree():
     seed, grown = replay(""), replay("M")
     assert_matches_reference(grown)
     assert grown.links == (LinkType.META,)
-    assert seed.graph.degrees[grown.terminal_cut_vertex] == 2
-    assert grown.graph.degrees[grown.terminal_cut_vertex] == 4
+    _, cut = reference_replay(grown.links)
+    assert seed.graph.degrees[cut] == 2
+    assert grown.graph.degrees[cut] == 4
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -159,15 +159,13 @@ def test_every_n_taker_validates_n_alike(name):
     call(np.int64(5))
 
 
-# Every public count argument other than n: replications, trajectories, bins
-# and the enumeration cap.
+# Every public count argument other than n: replications, trajectories and bins.
 COUNT_TAKERS = {
     "simulate reps": lambda k: sc.simulate(ZAGREB2, 10, UNIFORM, k, 0),
     "martingale_residual_check trajectories": (
         lambda k: sc.martingale_residual_check(ZAGREB2, UNIFORM, 10, k, 0)
     ),
     "histogram bins": lambda k: sc.histogram([1.0, 2.0, 4.0], k),
-    "enumerate_all max_n": lambda k: list(enumerate_all(4, UNIFORM, max_n=k)),
 }
 
 
@@ -324,10 +322,6 @@ def test_enumeration_ortho_counts_are_exactly_binomial(p_ortho):
 def test_enumeration_cap():
     with pytest.raises(NTooLarge):
         list(enumerate_all(13, UNIFORM))
-    # explicit cap wins over the default
-    assert len(list(enumerate_all(4, UNIFORM, max_n=4))) == 9
-    with pytest.raises(NTooLarge):
-        list(enumerate_all(5, UNIFORM, max_n=4))
 
 
 def test_link_string_round_trip():
@@ -340,7 +334,6 @@ def test_link_string_round_trip():
 
 
 def test_link_types_hash_by_identity():
-    assert LinkType.__hash__ is object.__hash__
     assert pickle.loads(pickle.dumps(LinkType.ORTHO)) is LinkType.ORTHO
     lookup = {link: i for i, link in enumerate(LinkType)}
     assert [lookup[LinkType(ch)] for ch in "OMP"] == [0, 1, 2]

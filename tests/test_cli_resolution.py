@@ -18,6 +18,8 @@ BAD_PROBABILITIES = {
     "out of range": ["--p-ortho", "7"],
     "partial triple": ["--p-meta", "0.5"],
     "wrong sum": ["--p-ortho", "0.5", "--p-meta", "0.4", "--p-para", "0.4"],
+    "nan": ["--p-ortho", "0.2", "--p-meta", "nan", "--p-para", "0.4"],
+    "sum off by 1e-10": ["--p-ortho", "0.5", "--p-meta", "0.5", "--p-para", "1e-10"],
 }
 
 
@@ -30,3 +32,8 @@ def test_bad_probabilities_exit_2_on_every_subcommand(capsys, command, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "p_ortho" in captured.err or "--p-" in captured.err
+
+
+def test_a_nan_probability_is_named(capsys):
+    assert main(VALID["generate"] + BAD_PROBABILITIES["nan"]) == 2
+    assert "p_meta=nan" in capsys.readouterr().err

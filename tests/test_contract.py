@@ -132,7 +132,7 @@ def test_draws_return_finite_values_or_raise_the_package_errors(spec, n, probs, 
     holds(lambda: sc.martingale_residual_check(spec, probs, n, reps, seed))
     holds(lambda: sc.generate(n, probs, seed))
     holds(lambda: sc.draw_link_indexes(sc.rng_from_seed(seed), n, probs))
-    holds(lambda: list(sc.enumerate_all(n, probs, max_n=6)))
+    holds(lambda: list(sc.enumerate_all(n, probs)))
 
 
 @EXAMPLES
