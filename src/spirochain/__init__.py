@@ -7,9 +7,9 @@ moment generating function, centered transform), and validates everything
 by exhaustive enumeration and seeded Monte Carlo.
 """
 
-# The public names, by the module that defines them.  The modules are
-# imported eagerly, in this order (perfbench's tracer wraps only functions
-# of modules already loaded), and `__all__` lists the names in this order.
+# The public names, by the module that exports them; `__all__` lists them in
+# this order.  A module is imported when one of its names (or the module
+# itself) is first read from the package, so `import spirochain` loads none.
 _EXPORTS = {
     "analytics": (
         "COMPARISON_ORDER", "ChainCoefficients", "DiscreteDistribution",
@@ -43,13 +43,26 @@ _EXPORTS = {
     ),
 }
 
-# `from .module import names`, spelt as the statement compiles; unlike
-# importlib.import_module it goes through the import that -X importtime logs.
-for _module, _names in _EXPORTS.items():
-    _owner = __import__(_module, globals(), None, _names, 1)
-    globals().update({name: getattr(_owner, name) for name in _names})
-del _module, _names, _owner
-
 __version__ = "0.1.0"
 
 __all__ = [name for names in _EXPORTS.values() for name in names] + ["__version__"]
+
+# The module of each public name; a submodule's name maps to itself.
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
+
+
+def __getattr__(name: str):
+    """Import the module of a public name (or a submodule) on first use and
+    bind the name here, so that later reads are plain attribute lookups."""
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # `from .module import name`, spelt as the statement compiles; unlike
+    # importlib.import_module it goes through the import that -X importtime logs.
+    owner = __import__(module, globals(), None, (name,), 1)
+    value = globals()[name] = owner if name == module else getattr(owner, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_OWNER})

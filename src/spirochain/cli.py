@@ -9,6 +9,9 @@ once, in one order: --index and --a, then --n, then the probabilities, then
 --format.  Handlers only build a payload, and `_emit` renders and writes
 every output.
 
+Only the scalar model and the index registry load up front, so `analyze`,
+`compare` and `compute --links` run without numpy.
+
 Exit codes: 0 success, 2 validation failure, 3 degenerate variance (a
 standardized view of a deterministic index was requested), 4 internal error.
 """
@@ -23,13 +26,9 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import analytics, montecarlo
-from .chain import (
-    GENERATOR_ALGORITHM,
-    SEED_MIX_ALGORITHM,
-    LinkProbabilities,
-    generate,
-    replay,
+from ._model import (
+    GENERATOR_ALGORITHM, SEED_MIX_ALGORITHM, LinkProbabilities, coefficients,
+    compare_expectations, expected_value, replay, variance,
 )
 from .errors import (
     DegenerateVariance, InvalidProbabilities, MissingExponent, SpiroChainError, require_n,
@@ -145,11 +144,16 @@ def _compare_table(payload: dict) -> tuple[list[str], list[list]]:
     return ["index", "expectation", "ordered_after_previous"], rows
 
 
-def _histogram_csv(samples, bins: int) -> str:
-    hist = montecarlo.histogram(samples, bins)
+def _histogram_csv(hist) -> str:
     edges = hist.edges.tolist()
     rows = list(zip(edges[:-1], edges[1:], hist.counts.tolist(), hist.densities().tolist()))
     return _csv_text(["bin_left", "bin_right", "count", "density"], rows)
+
+
+def generate(n, probs, seed):
+    """chain.generate, imported on the first call: its draws need numpy."""
+    from .chain import generate
+    return generate(n, probs, seed)
 
 
 def cmd_generate(args: argparse.Namespace):
@@ -188,7 +192,7 @@ def cmd_compute(args: argparse.Namespace):
 
 
 def cmd_analyze(args: argparse.Namespace):
-    c = analytics.coefficients(args.spec, args.probs)
+    c = coefficients(args.spec, args.probs)
     return {
         **_echo(args),
         "ti2": c.ti2,
@@ -198,14 +202,15 @@ def cmd_analyze(args: argparse.Namespace):
         "A": c.A,
         "B": c.B,
         "C": c.C,
-        "mean": analytics.expected_value(args.spec, args.n, args.probs),
-        "variance": analytics.variance(args.spec, args.n, args.probs),
+        "mean": expected_value(args.spec, args.n, args.probs),
+        "variance": variance(args.spec, args.n, args.probs),
         "deterministic": c.deterministic,
     }, ()
 
 
 def cmd_distribution(args: argparse.Namespace):
-    dist = analytics.exact_distribution(args.spec, args.n, args.probs)
+    from .analytics import exact_distribution
+    dist = exact_distribution(args.spec, args.n, args.probs)
     ks = [None] * dist.pmf.size if dist.ortho_counts is None else dist.ortho_counts.tolist()
     return {"rows": [
         {"k": k, "value": v, "probability": p}
@@ -214,6 +219,7 @@ def cmd_distribution(args: argparse.Namespace):
 
 
 def cmd_simulate(args: argparse.Namespace):
+    from . import montecarlo
     require_n(args.bins, minimum=1, name="--bins")
     normality = None
     if args.standardize:
@@ -243,12 +249,12 @@ def cmd_simulate(args: argparse.Namespace):
         (args.samples_out, "--samples-out",
          lambda: "".join(f"{v!r}\n" for v in samples.tolist())),
         (args.histogram_out, "--histogram-out",
-         lambda: _histogram_csv(samples, args.bins)),
+         lambda: _histogram_csv(montecarlo.histogram(samples, args.bins))),
     )
 
 
 def cmd_compare(args: argparse.Namespace):
-    report = analytics.compare_expectations(args.n, args.probs)
+    report = compare_expectations(args.n, args.probs)
     return {
         "n": args.n,
         **asdict(args.probs),

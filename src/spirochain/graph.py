@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._model import EdgeProfile, VertexProfile
 from .errors import NTooLarge, UnsupportedDegree, require_n
 
 _EDGE_DTYPE = np.int64
@@ -120,31 +121,6 @@ class MolecularGraph:
             "vertices": self.vertex_count,
             "edges": self.edges.tolist(),
         }
-
-
-@dataclass(frozen=True)
-class EdgeProfile:
-    """Edge counts by endpoint degrees: (2,2), (2,4) and (4,4)."""
-
-    m22: int
-    m24: int
-    m44: int
-
-    @property
-    def total(self) -> int:
-        return self.m22 + self.m24 + self.m44
-
-
-@dataclass(frozen=True)
-class VertexProfile:
-    """Vertex counts by degree: degree 2 and degree 4."""
-
-    c2: int
-    c4: int
-
-    @property
-    def total(self) -> int:
-        return self.c2 + self.c4
 
 
 def _require_degrees_24(g: MolecularGraph) -> None:

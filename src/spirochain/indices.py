@@ -12,10 +12,13 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
+from ._model import EdgeProfile, VertexProfile
 from .errors import KindMismatch, MissingExponent, UndefinedBase, UnknownIndex
-from .graph import EdgeProfile, MolecularGraph, VertexProfile
+
+if TYPE_CHECKING:
+    from .graph import MolecularGraph
 
 
 class IndexKind(enum.Enum):

@@ -37,15 +37,18 @@ def test_tracer_target_resolves(module, attr):
     assert callable(owner)
 
 
-def test_import_spirochain_loads_every_traced_module():
+def test_resolving_every_public_name_loads_every_traced_module():
     """The tracer's install skips, without an error, every target whose
-    module is not yet loaded.  The benchmark worker installs it after
-    `import spirochain`, importing spirochain.cli itself only for the
-    workloads that run the CLI."""
+    module is not yet loaded.  `import spirochain` loads no module; the
+    benchmark worker installs the tracer only after its untraced half,
+    which has read the package's public names that the traced half calls,
+    importing spirochain.cli itself only for the workloads that run the
+    CLI.  Reading every public name must load every traced module."""
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    script = "import sys, spirochain; print(' '.join(sorted(sys.modules)))"
+    script = ("import sys, spirochain; [getattr(spirochain, name) for name in "
+              "spirochain.__all__]; print(' '.join(sorted(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -378,7 +378,7 @@ def test_non_finite_output_exits_2_and_writes_nothing(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("owner, name, argv", [
-    (spirochain.analytics, "expected_value", ["analyze", "--index", "randic", "--n", "10"]),
+    (cli, "expected_value", ["analyze", "--index", "randic", "--n", "10"]),
     (cli, "evaluate_from_profile",
      ["compute", "--index", "randic", "--links", "OMP", "--format", "csv"]),
 ], ids=["analyze-json", "compute-csv"])

@@ -1,5 +1,6 @@
-"""The package runs without scipy, which only the tests use as an oracle, and
-its one count check runs without numpy."""
+"""The package runs without scipy, which only the tests use as an oracle; its
+one count check and its scalar model run without numpy, and so do the CLI's
+analyze, compare and compute --links."""
 
 import json
 import os
@@ -53,10 +54,18 @@ def test_cli_runs_every_subcommand_without_scipy():
     assert result == {"codes": [0] * len(SUBCOMMANDS), "scipy": []}, proc.stderr
 
 
-# Runs in a fresh interpreter in which any import of numpy fails, and loads
-# errors.py by its path, so the package __init__ (which imports numpy) is skipped.
-ERRORS_SCRIPT = """
-import importlib.util, sys
+def _run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter that imports this package."""
+    src = str(Path(spirochain.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+# Prepended to the scripts below: from here on, any import of numpy fails.
+REFUSE_NUMPY = """
+import sys
 
 class RefuseNumpy:
     def find_spec(self, name, path=None, target=None):
@@ -65,9 +74,11 @@ class RefuseNumpy:
         return None
 
 sys.meta_path.insert(0, RefuseNumpy())
-spec = importlib.util.spec_from_file_location("spirochain_errors", sys.argv[1])
-errors = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(errors)
+"""
+
+# Imports the count check and the scalar model through the package.
+ERRORS_SCRIPT = REFUSE_NUMPY + """
+from spirochain import _model, errors
 assert errors.require_n(7) == 7
 assert errors.require_n(0, minimum=0, name="bins") == 0
 for bad in (1, True, 2.0, "3"):
@@ -77,15 +88,52 @@ for bad in (1, True, 2.0, "3"):
         pass
     else:
         raise AssertionError(f"require_n accepted {bad!r}")
+assert _model.replay("OMP").edge_profile() == _model.EdgeProfile(15, 14, 1)
+assert _model.compare_expectations(10, _model.LinkProbabilities.uniform()).all_ordered
 print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")))
 """
 
 
 def test_count_check_runs_without_numpy():
-    errors_py = Path(spirochain.__file__).resolve().parent / "errors.py"
-    proc = subprocess.run(
-        [sys.executable, "-c", ERRORS_SCRIPT, str(errors_py)],
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = _run_fresh(ERRORS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]", proc.stderr
+
+
+# Replays golden CLI cases (see test_cli_golden.py) and prints, for each, the
+# exit code and the sha256 of stdout and of each output file.
+GOLDEN_SCRIPT = REFUSE_NUMPY + """
+import contextlib, hashlib, io, json, pathlib, tempfile
+from spirochain.cli import main
+
+records = []
+for argv in json.loads(sys.argv[1]):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        files = [hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+                 for flag, value in zip(argv, argv[1:]) if flag == "--out"
+                 for path in [pathlib.Path(value)]]
+        records.append([code, hashlib.sha256(stdout.getvalue().encode()).hexdigest(), files])
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+print(json.dumps({"records": records, "numpy": loaded}))
+"""
+
+
+def test_scalar_subcommands_match_the_golden_outputs_without_numpy():
+    golden = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
+    cases = [entry for entry in golden if entry["argv"][0] in ("analyze", "compare")
+             or entry["argv"][0] == "compute" and "--n" not in entry["argv"]]
+    assert len(cases) >= 10 and any(entry["exit"] == 2 for entry in cases)
+    proc = _run_fresh(GOLDEN_SCRIPT, json.dumps([entry["argv"] for entry in cases]))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["numpy"] == []
+    expected = [[entry["exit"], entry["stdout"], list(entry["files"].values())]
+                for entry in cases]
+    assert result["records"] == expected
