@@ -41,6 +41,13 @@ DEFAULT_MAX_ENUM_N = 12
 # its first new id f_j.
 _RING_EDGES = np.array([0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 0, 5])
 
+# Row j - 1 of the ring array is 5(j - 1) + these, (f_j - 1, f_j, ...,
+# f_j + 4), before its column 0 is set to s_j.
+_RING_IDS = np.arange(6, dtype=_EDGE_DTYPE)
+
+# The link code of each LINK_ORDER index.
+_CODE_TABLE = np.frombuffer(_CODES, np.uint8)
+
 # Rings per block of the JSON edge writer: a block's 32,766 rows (~1 MB of
 # arrays at six-digit ids) stay in L2 through its digit passes.
 _BLOCK_RINGS = 5461
@@ -57,11 +64,10 @@ def _ring_array(chain: SpiroChain) -> np.ndarray:
     the LINK_ORDER index of link j - 2.  Ids equal those of attaching one
     hexagon at a time."""
     with allocating(chain.n):
-        first = 5 * np.arange(1, chain.n + 1, dtype=_EDGE_DTYPE) - 4
-        rings = first[:, None] + np.arange(-1, 5, dtype=_EDGE_DTYPE)
-        rings[:2, 0] = 0
+        rings = np.arange(0, 5 * chain.n, 5, dtype=_EDGE_DTYPE)[:, None] + _RING_IDS
+        rings[1:2, 0] = 0  # s_2; row 0 already holds s_1 = 0
         indexes = np.frombuffer(chain.codes.translate(_CODE_TO_INDEX), np.uint8)
-        rings[2:, 0] = first[1:-1] + indexes
+        rings[2:, 0] = rings[1:-1, 1] + indexes
     return rings
 
 
@@ -195,8 +201,7 @@ def draw_link_indexes(
     probs = _coerce_probs(probs)
     cdf = np.array([probs.p_ortho, probs.p_ortho + probs.p_meta, 1.0], dtype=float)
     with allocating(count, "count"):
-        u = rng.random(count)
-        return np.searchsorted(cdf, u, side="right").astype(np.int64)
+        return cdf.searchsorted(rng.random(count), side="right").astype(np.int64, copy=False)
 
 
 def generate(n: int, probs: LinkProbabilities, seed: int) -> SpiroChain:
@@ -209,7 +214,7 @@ def generate(n: int, probs: LinkProbabilities, seed: int) -> SpiroChain:
     steps = require_n(n) - 2
     with _held_stream() as stream, allocating(n):
         indexes = draw_link_indexes(stream.keyed(seed), steps, probs)
-        return SpiroChain(steps + 2, np.frombuffer(_CODES, np.uint8)[indexes].tobytes())
+        return SpiroChain(steps + 2, _CODE_TABLE[indexes].tobytes())
 
 
 def enumerate_all(

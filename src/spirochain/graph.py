@@ -46,18 +46,29 @@ class MolecularGraph:
                 "the int64 edge keys overflow"
             )
         edges = np.asarray(self.edges)
-        if edges.size and edges.dtype.kind not in "iu":
+        if not edges.size:
+            edges = np.empty((0, 2), _EDGE_DTYPE)
+        elif edges.dtype.kind not in "iu":
             raise ValueError("edge endpoints must be integers")
-        edges = edges.astype(_EDGE_DTYPE, copy=False).reshape(-1, 2)
-        u, v = edges[:, 0], edges[:, 1]  # column-wise: an axis-1 sort is slower
-        edges = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=-1)
-        if edges.size and (edges.min() < 0 or edges.max() >= count):
+        elif edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edges must have shape (E, 2), got {edges.shape}")
+        # The (low, high) rows go into a new array, never the caller's; two
+        # column-wise ufuncs beat an axis-1 sort.
+        u, v = edges[:, 0], edges[:, 1]
+        edges = np.empty((len(u), 2), _EDGE_DTYPE)
+        low = np.minimum(u, v, out=edges[:, 0])
+        high = np.maximum(u, v, out=edges[:, 1])
+        # Read as unsigned, a negative id (or a uint64 the cast wrapped) is
+        # >= 2**63, so one comparison checks both ends of the range.
+        if np.count_nonzero(edges.view(np.uint64) >= count):
             raise ValueError("edge endpoint out of range")
-        if (edges[:, 0] == edges[:, 1]).any():
+        if np.count_nonzero(low == high):
             raise ValueError("self-loops are not allowed")
         # The sorted keys u * V + v are both the duplicate check and __eq__'s.
-        keys = np.sort(edges[:, 0] * count + edges[:, 1])
-        if (keys[1:] == keys[:-1]).any():
+        keys = low * count
+        keys += high
+        keys.sort()
+        if np.count_nonzero(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edges are not allowed")
         edges.setflags(write=False)
         object.__setattr__(self, "vertex_count", count)
@@ -75,13 +86,9 @@ class MolecularGraph:
         return deg
 
     @cached_property
-    def _degree_histogram(self) -> np.ndarray:  # read by both degree tables
-        return np.bincount(self.degrees)
-
-    @cached_property
     def degree_counts(self) -> dict[int, int]:
         """Map degree -> number of vertices with that degree."""
-        counts = self._degree_histogram.tolist()
+        counts = np.bincount(self.degrees).tolist()
         return {d: c for d, c in enumerate(counts) if c}
 
     @cached_property
@@ -95,18 +102,17 @@ class MolecularGraph:
         themselves would not be: an edge between two vertices of degree
         10**5 would need 10**10 bins.
         """
-        rank = self._degree_histogram.copy()  # a table by degree, filled with ranks
-        present = rank.nonzero()[0]
-        m = present.size
-        rank[present] = np.arange(m)
+        degree = list(self.degree_counts)  # the m distinct degrees, ascending
+        m = len(degree)
+        rank = np.zeros(max(degree, default=0) + 1, np.int64)  # a table by degree
+        for r, d in enumerate(degree):  # m <= 2 * sqrt(E) + 1 steps
+            rank[d] = r
         ends = rank[self.degrees[self.edges]]
         ru, rv = ends[:, 0], ends[:, 1]
         table = np.bincount(np.minimum(ru, rv) * m + np.maximum(ru, rv))
-        codes = table.nonzero()[0]
-        degree = present.tolist()
         return {
             (degree[code // m], degree[code % m]): count
-            for code, count in zip(codes.tolist(), table[codes].tolist())
+            for code, count in enumerate(table.tolist()) if count
         }
 
     def __eq__(self, other: object) -> bool:

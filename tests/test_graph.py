@@ -148,6 +148,44 @@ def test_vertex_count_bound_keeps_edge_keys_in_int64():
     assert g == MolecularGraph(top, [[top - 1, 0], [top - 1, top - 2]])
 
 
+def test_edges_of_any_other_shape_than_two_columns_are_rejected():
+    # Any even-sized input used to be reshaped to (-1, 2) and read as edges.
+    for edges in ([[0, 1, 2, 3]], [0, 1, 2, 3], [0, 1], [[0, 1, 2]],
+                  np.array([[[0, 1]], [[2, 3]]])):
+        with pytest.raises(ValueError, match=r"edges must have shape \(E, 2\), got \("):
+            MolecularGraph(4, edges)
+
+
+def test_endpoints_are_checked_at_both_ends_of_the_range():
+    wrapped = np.array([[0, 2**63]], dtype=np.uint64)  # the int64 cast reads -2**63
+    for edges in ([[-1, 1]], [[1, -1]], wrapped, wrapped[:, ::-1], [[0, 3]], [[3, 0]]):
+        with pytest.raises(ValueError, match="edge endpoint out of range"):
+            MolecularGraph(3, edges)
+
+
+def test_constructor_copies_rows_already_in_low_high_order():
+    rows = np.array([[0, 1], [1, 2], [0, 2]])
+    g = MolecularGraph(3, rows)
+    rows[:] = [[1, 2], [0, 1], [0, 1]]
+    assert rows.flags.writeable
+    assert g.edges.tolist() == [[0, 1], [1, 2], [0, 2]]
+    assert g == MolecularGraph(3, [[0, 1], [1, 2], [0, 2]])
+
+
+def test_constructor_memory_is_linear_in_the_edge_count():
+    # Checks sized by vertex_count (a bincount of the endpoints, say) would
+    # allocate ~24 GB here.
+    top = 3_037_000_499
+    tracemalloc.start()
+    try:
+        g = MolecularGraph(top, [[0, 1], [5, top - 1]])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 2
+    assert peak < 64 * 1024
+
+
 def test_edgeless_graphs_have_no_degree_pairs():
     for g in (MolecularGraph(4, []), MolecularGraph(0, [])):
         assert g.degree_pair_counts == {}
