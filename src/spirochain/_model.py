@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable
 
+from . import indices
 from .errors import InvalidProbabilities, UndefinedBase, require_n
+from .indices import EdgeProfile, VertexProfile
 
 GENERATOR_ALGORITHM = "philox4x64-10"
 SEED_MIX_ALGORITHM = "splitmix64"
@@ -34,36 +36,6 @@ _MASK64 = (1 << 64) - 1
 _DETERMINISTIC_RTOL = 1e-12
 
 COMPARISON_ORDER = ("randic", "nirmala", "sombor", "first-zagreb", "second-zagreb")
-
-
-@dataclass(frozen=True)
-class EdgeProfile:
-    """Edge counts by endpoint degrees: (2,2), (2,4) and (4,4)."""
-
-    m22: int
-    m24: int
-    m44: int
-
-    @property
-    def total(self) -> int:
-        return self.m22 + self.m24 + self.m44
-
-
-@dataclass(frozen=True)
-class VertexProfile:
-    """Vertex counts by degree: degree 2 and degree 4."""
-
-    c2: int
-    c4: int
-
-    @property
-    def total(self) -> int:
-        return self.c2 + self.c4
-
-
-# After the profile types, which indices imports from here; as a module, so
-# that either of the two may be imported first.
-from . import indices  # noqa: E402
 
 
 class LinkType(enum.Enum):
@@ -157,9 +129,8 @@ def replication_seed(seed: int, index: int) -> int:
 @dataclass(frozen=True)
 class SpiroChain:
     """An n-hexagon chain held as its link codes, one byte per link over
-    b"OMP"; its rings and its graph are built on first use.  n must be an
-    integer >= 1 (InvalidN otherwise) and codes must be bytes (TypeError
-    otherwise).
+    b"OMP"; its graph is built on first use.  n must be an integer >= 1
+    (InvalidN otherwise) and codes must be bytes (TypeError otherwise).
     """
 
     n: int
@@ -185,18 +156,9 @@ class SpiroChain:
         return tuple(map(LINK_ORDER.__getitem__, self.codes.translate(_CODE_TO_INDEX)))
 
     @cached_property
-    def _rings(self):
-        """The (n, 6) ring array: chain._ring_array."""
-        return _arrays()._ring_array(self)
-
-    @cached_property
     def graph(self):
         """The validated MolecularGraph: chain._graph."""
         return _arrays()._graph(self)
-
-    def _edges_json_blocks(self):
-        """The JSON text of graph.edges as byte chunks: chain._edges_json_blocks."""
-        return _arrays()._edges_json_blocks(self)
 
     def edge_profile(self) -> EdgeProfile:
         """Edge counts by endpoint degrees, in closed form from n and the
@@ -213,7 +175,7 @@ class SpiroChain:
         return VertexProfile(c2=4 * self.n + 2, c4=self.n - 1)
 
 
-@cache  # `from . import` costs ~1 µs a call; a chain's graph makes two
+@cache  # `from . import` costs ~1 µs a call, and each chain's graph makes one
 def _arrays():
     """The numpy layer of a chain (the chain module), imported on first use."""
     from . import chain

@@ -18,8 +18,7 @@ from ._model import (  # noqa: F401  (the scalar laws are re-exported)
     _variance, coefficients, compare_expectations, expected_value, log_mgf, mgf,
     second_moment, variance,
 )
-from .chain import allocating
-from .errors import DegenerateVariance, NonFiniteSample, require_n
+from .errors import DegenerateVariance, NonFiniteSample, allocating, require_n
 from .indices import IndexSpec
 
 

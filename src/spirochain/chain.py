@@ -3,8 +3,8 @@ arrays of a chain.  The chain itself, its links and its closed-form degree
 profiles are the scalar model (`_model`); this module re-exports them.
 
 Every ring is listed from its shared vertex, so each shared vertex has a
-closed form in the link offsets, and one cached builder computes all rings
-at once.  The chain writes its edge list's JSON text itself, straight from
+closed form in the link offsets, and one builder computes all rings at
+once.  The chain writes its edge list's JSON text itself, straight from
 the rings, each ring's six rows already in (low, high) order; the validated
 graph is built from the same rows only when `graph` is first read, and is
 the writer's oracle.
@@ -31,7 +31,7 @@ from ._model import (  # noqa: F401  (the scalar names are re-exported)
     LinkProbabilities, LinkType, SpiroChain, _coerce_probs, links_to_string, parse_links,
     replay, replication_seed, splitmix64,
 )
-from .errors import NTooLarge, SpiroChainError, require_n
+from .errors import NTooLarge, allocating, require_n
 from .graph import MolecularGraph, _EDGE_DTYPE
 
 DEFAULT_MAX_ENUM_N = 12
@@ -58,10 +58,10 @@ _IDLE_STREAM = threading.local()
 
 
 def _ring_array(chain: SpiroChain) -> np.ndarray:
-    """SpiroChain._rings: row j - 1 is hexagon j, the ring (s_j, f_j, ...,
-    f_j + 4) with first new id f_j = 5j - 4.  Hexagons 1 and 2 start at
-    s = 0 (for n = 1 the ring is 0..5); hexagon j >= 3 at s_j = f_{j-1} +
-    the LINK_ORDER index of link j - 2.  Ids equal those of attaching one
+    """The (n, 6) ring array: row j - 1 is hexagon j, the ring (s_j, f_j,
+    ..., f_j + 4) with first new id f_j = 5j - 4.  Hexagons 1 and 2 start
+    at s = 0 (for n = 1 the ring is 0..5); hexagon j >= 3 at s_j = f_{j-1}
+    + the LINK_ORDER index of link j - 2.  Ids equal those of attaching one
     hexagon at a time."""
     with allocating(chain.n):
         rings = np.arange(0, 5 * chain.n, 5, dtype=_EDGE_DTYPE)[:, None] + _RING_IDS
@@ -75,14 +75,13 @@ def _graph(chain: SpiroChain) -> MolecularGraph:
     """SpiroChain.graph, the validated graph: six (low, high) edge rows per
     ring, in ring order with the closing edge last."""
     with allocating(chain.n):
-        rows = chain._rings.take(_RING_EDGES, axis=1).reshape(-1, 2)
+        rows = _ring_array(chain).take(_RING_EDGES, axis=1).reshape(-1, 2)
         return MolecularGraph(5 * chain.n + 1, rows)
 
 
 def _edges_json_blocks(chain: SpiroChain) -> Iterator[bytes]:
-    """SpiroChain._edges_json_blocks: the JSON text of graph.edges as ASCII
-    byte chunks, in order, written from the rings _BLOCK_RINGS at a time;
-    builds no graph.
+    """The JSON text of chain.graph.edges as ASCII byte chunks, in order,
+    written from the rings _BLOCK_RINGS at a time; builds no graph.
 
     Built in numpy, with no Python object per edge, one block at a time,
     so that every pass over a block stays in cache.  Every row is laid
@@ -91,7 +90,7 @@ def _edges_json_blocks(chain: SpiroChain) -> Iterator[bytes]:
     id, 5n) behind zero bytes; deleting the zero bytes leaves the JSON
     text of the block.
     """
-    n, rings, top = chain.n, chain._rings, 5 * chain.n
+    n, rings, top = chain.n, _ring_array(chain), 5 * chain.n
     d = len(str(top))
     layout = np.frombuffer(b"[" + bytes(d) + b", " + bytes(d) + b"], ", np.uint8)
     table = np.empty((6 * min(n, _BLOCK_RINGS), layout.size), dtype=np.uint8)
@@ -117,27 +116,6 @@ def _edges_json_blocks(chain: SpiroChain) -> Iterator[bytes]:
             rows[-1, -2:] = 0  # no ", " after the last row
         yield rows.tobytes().replace(b"\0", b"")
     yield b"]"
-
-
-class allocating:
-    """Context manager that reports numpy's refusal to build an array sized
-    by n (a size ValueError or a MemoryError) as NTooLarge naming n; the
-    package's own errors pass through unchanged, and nested ones name the
-    outermost count.  A plain class because a chain enters it three times,
-    and a generator-based one costs ~3x as much."""
-
-    def __init__(self, n: int, name: str = "n") -> None:
-        self.n, self.name = n, name
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, kind, exc, traceback) -> None:
-        exc = getattr(exc, "_refusal", exc)  # an inner allocating's report
-        if isinstance(exc, (ValueError, MemoryError)) and not isinstance(exc, SpiroChainError):
-            error = NTooLarge(f"{self.name}={self.n} is too large for the arrays it sizes: {exc}")
-            error._refusal = exc
-            raise error from None
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:

@@ -150,13 +150,8 @@ def _histogram_csv(hist) -> str:
     return _csv_text(["bin_left", "bin_right", "count", "density"], rows)
 
 
-def generate(n, probs, seed):
-    """chain.generate, imported on the first call: its draws need numpy."""
-    from .chain import generate
-    return generate(n, probs, seed)
-
-
 def cmd_generate(args: argparse.Namespace):
+    from .chain import _edges_json_blocks, generate
     chain = generate(args.n, args.probs, args.seed)
     # One line, as json.dumps writes it, with the long edge list put in as
     # the byte blocks the chain writes from its rings ("links" holds only O,
@@ -167,7 +162,7 @@ def cmd_generate(args: argparse.Namespace):
         "edge_profile": asdict(chain.edge_profile()),
         "rng": GENERATOR_ALGORITHM, "seed": args.seed,
     }, allow_nan=False).partition('"edges": 0')
-    return [f'{head}"edges": '.encode(), *chain._edges_json_blocks(),
+    return [f'{head}"edges": '.encode(), *_edges_json_blocks(chain),
             f"{tail}\n".encode()], ()
 
 
@@ -175,6 +170,7 @@ def cmd_compute(args: argparse.Namespace):
     if (args.links is None) == (args.n is None):
         raise UsageError("give exactly one of --links or --n")
     if args.links is None:
+        from .chain import generate
         chain = generate(args.n, args.probs, args.seed)
     else:
         try:

@@ -1,4 +1,5 @@
-"""Exception types raised across the package, and the one count check."""
+"""Exception types raised across the package, the one count check, and the
+one mapper of numpy's array-size refusals to NTooLarge; numpy-free."""
 
 import operator
 
@@ -32,6 +33,27 @@ class InvalidProbabilities(SpiroChainError):
 
 class NTooLarge(SpiroChainError):
     """n is beyond the enumeration cap, or too large for the arrays it sizes."""
+
+
+class allocating:
+    """Context manager that reports numpy's refusal to build an array sized
+    by n (a size ValueError or a MemoryError) as NTooLarge naming n; the
+    package's own errors pass through unchanged, and nested ones name the
+    outermost count.  A plain class because a chain and its graph enter it
+    four times, and a generator-based one costs ~3x as much."""
+
+    def __init__(self, n: int, name: str = "n") -> None:
+        self.n, self.name = n, name
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        exc = getattr(exc, "_refusal", exc)  # an inner allocating's report
+        if isinstance(exc, (ValueError, MemoryError)) and not isinstance(exc, SpiroChainError):
+            error = NTooLarge(f"{self.name}={self.n} is too large for the arrays it sizes: {exc}")
+            error._refusal = exc
+            raise error from None
 
 
 class UndefinedBase(SpiroChainError):

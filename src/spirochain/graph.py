@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._model import EdgeProfile, VertexProfile
 from .errors import NTooLarge, UnsupportedDegree, require_n
+from .indices import EdgeProfile, VertexProfile
 
 _EDGE_DTYPE = np.int64
 

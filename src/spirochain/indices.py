@@ -1,9 +1,11 @@
-"""Degree-based topological indices.
+"""Degree-based topological indices and the degree profiles they read.
 
 Two families cover the whole catalog: vertex sums of h(degree)^a and edge
 sums of f(degree, degree)^a, with h and f strictly positive and f symmetric.
 The registry holds the named instances so callers (and the CLI) can pick
-them by name; custom indices are ordinary IndexSpec values.
+them by name; custom indices are ordinary IndexSpec values.  The profile
+types (EdgeProfile, VertexProfile) live here, beside evaluate_from_profile,
+which consumes them; chains and graphs both build them.
 """
 
 from __future__ import annotations
@@ -14,11 +16,35 @@ import operator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
-from ._model import EdgeProfile, VertexProfile
 from .errors import KindMismatch, MissingExponent, UndefinedBase, UnknownIndex
 
 if TYPE_CHECKING:
     from .graph import MolecularGraph
+
+
+@dataclass(frozen=True)
+class EdgeProfile:
+    """Edge counts by endpoint degrees: (2,2), (2,4) and (4,4)."""
+
+    m22: int
+    m24: int
+    m44: int
+
+    @property
+    def total(self) -> int:
+        return self.m22 + self.m24 + self.m44
+
+
+@dataclass(frozen=True)
+class VertexProfile:
+    """Vertex counts by degree: degree 2 and degree 4."""
+
+    c2: int
+    c4: int
+
+    @property
+    def total(self) -> int:
+        return self.c2 + self.c4
 
 
 class IndexKind(enum.Enum):

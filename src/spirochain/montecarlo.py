@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .chain import LinkProbabilities, _replication_streams, allocating
-from .errors import EmptySample, NTooLarge, SampleTooSmall, require_n
+from .chain import LinkProbabilities, _replication_streams
+from .errors import EmptySample, NTooLarge, SampleTooSmall, allocating, require_n
 from .indices import IndexSpec
 
 _TRAJECTORY_BLOCK = 8192

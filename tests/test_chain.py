@@ -39,7 +39,7 @@ from spirochain import (
     splitmix64,
     vertex_profile,
 )
-from spirochain.chain import _BLOCK_RINGS, allocating
+from spirochain.chain import _BLOCK_RINGS, _edges_json_blocks, allocating
 from spirochain.cli import main as cli_main
 
 UNIFORM = LinkProbabilities.uniform()
@@ -555,7 +555,7 @@ def test_generate_writes_its_edges_without_building_a_graph(monkeypatch, capsys,
 
 
 def assert_chain_writes_its_graph(chain):
-    written = b"".join(chain._edges_json_blocks()).decode()
+    written = b"".join(_edges_json_blocks(chain)).decode()
     assert written == json.dumps(chain.graph.edges.tolist())
 
 
@@ -588,5 +588,5 @@ RING_BLOCK = _BLOCK_RINGS
 def test_chain_writer_matches_the_graph_at_ring_block_boundaries(n):
     chain = generate(n, UNIFORM, n)
     assert_chain_writes_its_graph(chain)
-    blocks = list(chain._edges_json_blocks())
+    blocks = list(_edges_json_blocks(chain))
     assert len(blocks) == 2 + -(-n // RING_BLOCK)  # "[", the blocks, "]"

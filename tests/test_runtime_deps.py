@@ -1,6 +1,6 @@
 """The package runs without scipy, which only the tests use as an oracle; its
 one count check and its scalar model run without numpy, and so do the CLI's
-analyze, compare and compute --links."""
+analyze, compare and compute --links; and its modules import one way."""
 
 import json
 import os
@@ -137,3 +137,28 @@ def test_scalar_subcommands_match_the_golden_outputs_without_numpy():
     expected = [[entry["exit"], entry["stdout"], list(entry["files"].values())]
                 for entry in cases]
     assert result["records"] == expected
+
+
+# Imports the modules named in argv, in order, and prints the package's
+# submodules then loaded.
+IMPORT_SCRIPT = """
+import importlib, json, sys
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("spirochain."))))
+"""
+
+
+def test_the_package_imports_one_way():
+    def loaded(*modules):
+        proc = _run_fresh(IMPORT_SCRIPT, *(f"spirochain.{name}" for name in modules))
+        assert proc.returncode == 0, proc.stderr
+        return {name.removeprefix("spirochain.") for name in json.loads(proc.stdout)}
+
+    # The index layer needs only the errors, and the laws' array layer
+    # needs neither the chain's arrays nor the graph.
+    assert loaded("indices") == {"errors", "indices"}
+    assert not loaded("analytics") & {"chain", "graph"}
+    # The scalar model and the index layer import in either order.
+    assert loaded("_model", "indices") == loaded("indices", "_model") == {
+        "_model", "errors", "indices"}
