@@ -68,16 +68,14 @@ def _resolve(args: argparse.Namespace) -> None:
     if args.n is not None:  # optional for compute only
         args.n = require_n(args.n, name="--n")
     trio = (args.p_ortho, args.p_meta, args.p_para)
-    if trio[1:] == (None, None):
-        args.probs = (LinkProbabilities.uniform() if args.p_ortho is None
-                      else LinkProbabilities.from_ortho(args.p_ortho))
-    elif None in trio:
+    if trio[1:] != (None, None) and None in trio:
         raise UsageError("give --p-ortho alone, all of --p-ortho/--p-meta/--p-para, or none")
-    else:
-        try:
-            args.probs = LinkProbabilities(*trio)
-        except InvalidProbabilities as exc:
-            raise UsageError(f"--p-ortho/--p-meta/--p-para: {exc}") from None
+    try:
+        args.probs = (LinkProbabilities(*trio) if trio[1:] != (None, None)
+                      else LinkProbabilities.uniform() if args.p_ortho is None
+                      else LinkProbabilities.from_ortho(args.p_ortho))
+    except InvalidProbabilities as exc:
+        raise UsageError(f"--p-ortho/--p-meta/--p-para: {exc}") from None
     if args.format == "csv" and args.to_csv is None:
         raise UsageError(f"--format csv is not supported for {args.command}")
 

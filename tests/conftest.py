@@ -1,12 +1,28 @@
 """Shared fixtures: exhaustive enumeration oracle and small helpers."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
+import spirochain
 from spirochain import LINK_ORDER, LinkType, enumerate_all, evaluate, replay
+
+SRC = str(Path(spirochain.__file__).resolve().parents[1])
+
+
+def run_fresh(*args, text=True, **env):
+    """Run `python *args` in a fresh interpreter that imports this tree's
+    package; keyword arguments are added to its environment."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text,
+                          env=env, timeout=120)
 
 
 class EnumOracle:

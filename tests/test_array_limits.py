@@ -7,13 +7,10 @@ once and no memory is touched.
 """
 
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import spirochain
+from conftest import run_fresh
 from spirochain import (
     LinkProbabilities,
     NTooLarge,
@@ -87,13 +84,7 @@ sys.exit(main(sys.argv[1:]))
     ["distribution", "--index", "randic"],
 ])
 def test_cli_beyond_memory_exits_2(argv):
-    src = str(Path(spirochain.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv, "--n", str(10**12)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_fresh("-c", CHILD, *argv, "--n", str(10**12), OPENBLAS_NUM_THREADS="1")
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert "n=1000000000000 is too large" in proc.stderr
 

@@ -6,12 +6,11 @@ in the package would otherwise surface only in a traced benchmark run.
 
 import importlib
 import importlib.util
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import run_fresh
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -44,13 +43,9 @@ def test_resolving_every_public_name_loads_every_traced_module():
     which has read the package's public names that the traced half calls,
     importing spirochain.cli itself only for the workloads that run the
     CLI.  Reading every public name must load every traced module."""
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = ("import sys, spirochain; [getattr(spirochain, name) for name in "
               "spirochain.__all__]; print(' '.join(sorted(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = run_fresh("-c", script)
     assert proc.returncode == 0, proc.stderr
     traced = {module for _, module, _, _ in TARGETS} - {"spirochain.cli"}
     assert traced <= set(proc.stdout.split())

@@ -5,8 +5,6 @@ import io
 import json
 import math
 import os
-import subprocess
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -15,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import spirochain
+from conftest import run_fresh
 from spirochain import (
     LinkProbabilities,
     MolecularGraph,
@@ -30,8 +28,6 @@ from spirochain import cli, graph
 from spirochain.chain import _BLOCK_RINGS
 from spirochain.cli import COMMANDS, main
 from spirochain.indices import REGISTRY_NAMES, VARIABLE_EXPONENT_NAMES
-
-UNIFORM_FLAGS = []
 
 
 def run(capsys, *argv):
@@ -96,13 +92,13 @@ def generate_document(chain, seed):
     ) + "\n"
 
 
-@pytest.mark.parametrize("n", [2, 1000])
-def test_generate_writes_edges_without_python_lists(capsys, monkeypatch, n):
+@pytest.mark.parametrize("n", [2, 1000, 5000])
+def test_generate_writes_edges_without_python_lists(capsys, monkeypatch, tmp_path, n):
     chain = generate(n, LinkProbabilities(0.3, 0.45, 0.25), 11)
-    reference = generate_document(chain, 11)
+    reference = generate_document(chain, 11).encode()
 
     def refuse(*args):
-        raise AssertionError("generate built a graph, or went through to_dict or its profile")
+        raise AssertionError("a graph was built, or went through to_dict or its profile")
 
     # The chain writes its edges from its rings, so no graph is built.
     monkeypatch.setattr(MolecularGraph, "__post_init__", refuse)
@@ -110,10 +106,16 @@ def test_generate_writes_edges_without_python_lists(capsys, monkeypatch, n):
     # The edge profile comes from the closed form in n and the ortho count.
     monkeypatch.setattr(graph, "edge_profile", refuse)
     monkeypatch.setattr(MolecularGraph, "degree_pair_counts", property(refuse))
-    code, out, err = run(capsys, "generate", "--n", str(n), "--seed", "11",
-                         "--p-ortho", "0.3", "--p-meta", "0.45", "--p-para", "0.25")
-    assert (code, err) == (0, "")
-    assert out == reference
+    argv = ["generate", "--n", str(n), "--seed", "11",
+            "--p-ortho", "0.3", "--p-meta", "0.45", "--p-para", "0.25"]
+    target = tmp_path / "g.json"
+    assert run(capsys, *argv) == (0, reference.decode(), "")
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == reference
+    # compute answers from the links or the closed form, not from a graph.
+    for source in (["--links", "OMPO"], ["--n", str(n)]):
+        code, _, err = run(capsys, "compute", "--index", "randic", *source)
+        assert code == 0, err
 
 
 def test_compute_on_explicit_links(capsys):
@@ -418,13 +420,7 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, flag):
 
 def spiro(*argv):
     """Run the `spiro` console entry point in a fresh interpreter."""
-    src = str(Path(spirochain.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", "from spirochain.cli import entry; entry()", *argv],
-        capture_output=True, env=env, timeout=120,
-    )
+    return run_fresh("-c", "from spirochain.cli import entry; entry()", *argv, text=False)
 
 
 def test_generate_stdout_and_out_file_are_the_same_bytes(tmp_path):

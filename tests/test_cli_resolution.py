@@ -31,7 +31,7 @@ def test_bad_probabilities_exit_2_on_every_subcommand(capsys, command, flags):
     assert main(VALID[command] + flags) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "p_ortho" in captured.err or "--p-" in captured.err
+    assert "--p-" in captured.err
 
 
 def test_a_nan_probability_is_named(capsys):

@@ -3,12 +3,9 @@ listed once and bound to its module's object, and nothing else public
 reaches the package."""
 
 import importlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import spirochain
+from conftest import run_fresh
 
 SUBMODULES = ("analytics", "chain", "errors", "graph", "indices", "montecarlo")
 
@@ -73,11 +70,7 @@ def test_star_import_binds_exactly_all():
 
 def _fresh(script: str) -> str:
     """stdout of `script` run in a fresh interpreter that imports this package."""
-    src = str(Path(spirochain.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = run_fresh("-c", script)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

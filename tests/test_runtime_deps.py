@@ -3,12 +3,10 @@ one count check and its scalar model run without numpy, and so do the CLI's
 analyze, compare and compute --links; and its modules import one way."""
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
-import spirochain
+from conftest import run_fresh
+from test_cli_golden import ENTRIES
 
 SUBCOMMANDS = [
     ["analyze", "--index", "nirmala", "--n", "100", "--p-ortho", "0.3"],
@@ -42,25 +40,10 @@ print(json.dumps({"codes": codes, "scipy": loaded}))
 
 
 def test_cli_runs_every_subcommand_without_scipy():
-    src = str(Path(spirochain.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(SUBCOMMANDS)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_fresh("-c", SCRIPT, json.dumps(SUBCOMMANDS))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"codes": [0] * len(SUBCOMMANDS), "scipy": []}, proc.stderr
-
-
-def _run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
-    """Run `script` in a fresh interpreter that imports this package."""
-    src = str(Path(spirochain.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", script, *args],
-                          capture_output=True, text=True, env=env, timeout=120)
 
 
 # Prepended to the scripts below: from here on, any import of numpy fails.
@@ -95,48 +78,36 @@ print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")))
 
 
 def test_count_check_runs_without_numpy():
-    proc = _run_fresh(ERRORS_SCRIPT)
+    proc = run_fresh("-c", ERRORS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]", proc.stderr
 
 
-# Replays golden CLI cases (see test_cli_golden.py) and prints, for each, the
-# exit code and the sha256 of stdout and of each output file.
+# Records golden CLI cases (argv[2]) with test_cli_golden's own recorder,
+# imported from the tests directory (argv[1]).
 GOLDEN_SCRIPT = REFUSE_NUMPY + """
-import contextlib, hashlib, io, json, pathlib, tempfile
-from spirochain.cli import main
+import json, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from test_cli_golden import _record
 
 records = []
-for argv in json.loads(sys.argv[1]):
+for argv in json.loads(sys.argv[2]):
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [arg.replace("{tmp}", tmp) for arg in argv]
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        files = [hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
-                 for flag, value in zip(argv, argv[1:]) if flag == "--out"
-                 for path in [pathlib.Path(value)]]
-        records.append([code, hashlib.sha256(stdout.getvalue().encode()).hexdigest(), files])
+        records.append(_record(argv, Path(tmp)))
 loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
 print(json.dumps({"records": records, "numpy": loaded}))
 """
 
 
 def test_scalar_subcommands_match_the_golden_outputs_without_numpy():
-    golden = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
-    cases = [entry for entry in golden if entry["argv"][0] in ("analyze", "compare")
+    cases = [entry for entry in ENTRIES if entry["argv"][0] in ("analyze", "compare")
              or entry["argv"][0] == "compute" and "--n" not in entry["argv"]]
     assert len(cases) >= 10 and any(entry["exit"] == 2 for entry in cases)
-    proc = _run_fresh(GOLDEN_SCRIPT, json.dumps([entry["argv"] for entry in cases]))
+    proc = run_fresh("-c", GOLDEN_SCRIPT, str(Path(__file__).parent),
+                     json.dumps([entry["argv"] for entry in cases]))
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["numpy"] == []
-    expected = [[entry["exit"], entry["stdout"], list(entry["files"].values())]
-                for entry in cases]
-    assert result["records"] == expected
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"records": cases, "numpy": []}
 
 
 # Imports the modules named in argv, in order, and prints the package's
@@ -151,7 +122,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("spirochain."))))
 
 def test_the_package_imports_one_way():
     def loaded(*modules):
-        proc = _run_fresh(IMPORT_SCRIPT, *(f"spirochain.{name}" for name in modules))
+        proc = run_fresh("-c", IMPORT_SCRIPT, *(f"spirochain.{name}" for name in modules))
         assert proc.returncode == 0, proc.stderr
         return {name.removeprefix("spirochain.") for name in json.loads(proc.stdout)}
 
