@@ -5,9 +5,8 @@ simulate and compare, all with machine-readable output.
 flags, its default format, the function that turns its payload into a CSV
 table (None where it writes JSON only) and its handler.  `build_parser`
 loops over that table.  After parsing, `_resolve` checks the shared inputs
-once, in one order: --index and --a, then --n, then the probabilities, then
---format.  Handlers only build a payload, and `_emit` renders and writes
-every output.
+once, in one order: --index and --a, then --n, then the probabilities.
+Handlers only build a payload, and `_emit` renders and writes every output.
 
 Only the scalar model and the index registry load up front, so `analyze`,
 `compare` and `compute --links` run without numpy.
@@ -57,7 +56,7 @@ class UsageError(Exception):
 
 def _resolve(args: argparse.Namespace) -> None:
     """Check the inputs the subcommands share and store the resolved values
-    on `args`: `spec` (where there is --index), `n`, `probs`; then --format."""
+    on `args`: `spec` (where there is --index), `n`, `probs`."""
     if "index" in args:
         if args.a is not None and args.index not in VARIABLE_EXPONENT_NAMES:
             raise UsageError(f"--a only applies to: {', '.join(VARIABLE_EXPONENT_NAMES)}")
@@ -76,8 +75,6 @@ def _resolve(args: argparse.Namespace) -> None:
                       else LinkProbabilities.from_ortho(args.p_ortho))
     except InvalidProbabilities as exc:
         raise UsageError(f"--p-ortho/--p-meta/--p-para: {exc}") from None
-    if args.format == "csv" and args.to_csv is None:
-        raise UsageError(f"--format csv is not supported for {args.command}")
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -331,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, options in (*flags, *_PROB_FLAGS):
             p.add_argument(flag, **options)
         p.add_argument("--out", type=Path, help="output file (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=default_format,
+        p.add_argument("--format", choices=("json", "csv") if to_csv else ("json",),
+                       default=default_format,
                        help=f"output format (default: {default_format})")
         p.set_defaults(handler=handler, to_csv=to_csv)
     return parser

@@ -163,10 +163,12 @@ def test_05_large_scale_normality():
         assert abs(report.mean) < 0.05, (name, report.mean)
         assert abs(report.variance - 1.0) < 0.05, (name, report.variance)
         assert report.ks_statistic < 0.03, (name, report.ks_statistic)
+        assert abs(report.skewness) < 0.1, (name, report.skewness)
+        assert report.passed, (name, report)
         assert elapsed < 60.0, (name, elapsed)
         print(f"\nACCEPTANCE 5 ({name}: mean {report.mean:+.4f}, "
-              f"var {report.variance:.4f}, KS {report.ks_statistic:.4f}, "
-              f"{elapsed:.1f}s): PASS")
+              f"var {report.variance:.4f}, skew {report.skewness:+.4f}, "
+              f"KS {report.ks_statistic:.4f}, {elapsed:.1f}s): PASS")
 
 
 def test_06_martingale_residuals():

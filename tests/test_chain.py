@@ -122,13 +122,6 @@ def test_replay_examples():
     assert edge_profile(five.graph).m44 == 2
 
 
-def test_generate_validation():
-    with pytest.raises(InvalidN):
-        generate(1, UNIFORM, 0)
-    with pytest.raises(InvalidProbabilities):
-        generate(5, (0.5, 0.5, 0.5), 0)
-
-
 ZAGREB2 = sc.registry_lookup("second-zagreb")
 
 # Every public function that takes a hexagon count, with its minimum n.
@@ -263,14 +256,6 @@ def test_generate_trivial_cases():
     assert edge_profile(degenerate.graph).m44 == 8
     all_para = generate(10, LinkProbabilities(0.0, 0.0, 1.0), 5)
     assert all_para.links == (LinkType.PARA,) * 8
-
-
-def test_generate_is_reproducible():
-    a = generate(10, UNIFORM, 42)
-    b = generate(10, UNIFORM, 42)
-    assert a.links == b.links
-    assert np.array_equal(a.graph.edges, b.graph.edges)
-    assert generate(10, UNIFORM, 43).links != a.links
 
 
 def test_generate_round_trips_through_replay():

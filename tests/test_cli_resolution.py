@@ -31,7 +31,7 @@ def test_bad_probabilities_exit_2_on_every_subcommand(capsys, command, flags):
     assert main(VALID[command] + flags) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--p-" in captured.err
+    assert "--p-ortho/--p-meta/--p-para" in captured.err
 
 
 def test_a_nan_probability_is_named(capsys):

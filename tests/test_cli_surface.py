@@ -35,8 +35,8 @@ PROBS = [
 OUT = (("--out",), "out", None, False, None, "Path", None, "output file (default: stdout)")
 
 
-def _format(default):
-    return (("--format",), "format", default, False, ("json", "csv"), None, None,
+def _format(default, choices=("json", "csv")):
+    return (("--format",), "format", default, False, choices, None, None,
             f"output format (default: {default})")
 
 
@@ -44,7 +44,7 @@ SURFACE = {
     "generate": [
         HELP,
         (("--n",), "n", None, True, None, "int", None, "number of hexagons (>= 2)"),
-        SEED, *PROBS, OUT, _format("json"),
+        SEED, *PROBS, OUT, _format("json", ("json",)),
     ],
     "compute": [
         HELP, *INDEX,
@@ -66,7 +66,7 @@ SURFACE = {
          "write the samples as CSV, one value per line"),
         (("--histogram-out",), "histogram_out", None, False, None, "Path", None,
          "write a histogram CSV (bin_left, bin_right, count, density)"),
-        *PROBS, OUT, _format("json"),
+        *PROBS, OUT, _format("json", ("json",)),
     ],
     "compare": [HELP, N, *PROBS, OUT, _format("json")],
 }

@@ -10,14 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spirochain import (
-    EdgeProfile,
     InvalidN,
     LinkProbabilities,
     MolecularGraph,
     NTooLarge,
     SpiroChain,
     UnsupportedDegree,
-    VertexProfile,
     edge_profile,
     generate,
     vertex_profile,
@@ -38,21 +36,6 @@ def naive_degree_profiles(graph):
     return Counter(degree), pairs
 
 
-def test_hexagon_is_a_six_cycle():
-    g = HEXAGON
-    assert g.vertex_count == 6
-    assert g.edge_count == 6
-    assert all(g.degrees[v] == 2 for v in range(6))
-    assert edge_profile(g) == EdgeProfile(m22=6, m24=0, m44=0)
-    assert vertex_profile(g) == VertexProfile(c2=6, c4=0)
-
-
-def test_seed_chain_profiles():
-    g = SpiroChain(2, b"").graph
-    assert edge_profile(g) == EdgeProfile(8, 4, 0)
-    assert vertex_profile(g) == VertexProfile(10, 1)
-
-
 def test_profiles_match_naive_classification_on_random_chains():
     probs = LinkProbabilities(0.4, 0.35, 0.25)
     for seed in range(12):
@@ -68,21 +51,6 @@ def test_profiles_match_naive_classification_on_random_chains():
         assert (vp.c2, vp.c4) == (degrees[2], degrees[4])
         assert ep.total == g.edge_count
         assert vp.total == g.vertex_count
-
-
-def test_structural_counts_track_hexagon_count():
-    probs = LinkProbabilities.uniform()
-    for n in (2, 3, 7, 25):
-        chain = generate(n, probs, seed=n)
-        g = chain.graph
-        assert g.vertex_count == 5 * n + 1
-        assert g.edge_count == 6 * n
-        vp = vertex_profile(g)
-        assert vp.c4 == n - 1
-        assert vp.c2 == 4 * n + 2
-        ep = edge_profile(g)
-        assert ep.m24 == 4 * (n - 1) - 2 * ep.m44
-        assert ep.m22 == 2 * n + 4 + ep.m44
 
 
 def test_profiles_reject_other_degrees():

@@ -202,13 +202,6 @@ def test_variable_family_reproduces_fixed_members():
         assert evaluate(nirmala, g) == evaluate(variable, g)
 
 
-def test_first_zagreb_is_exactly_affine_in_n():
-    spec = registry_lookup("first-zagreb")
-    for n in (2, 17, 120):
-        chain = replay(generate(n, UNIFORM, n).links)
-        assert evaluate(spec, chain.graph) == 32 * n - 8
-
-
 def test_edge_kind_name_list():
     kinds = {name: registry_lookup(name).kind
              for name in REGISTRY_NAMES if name not in VARIABLE_EXPONENT_NAMES}
