@@ -154,17 +154,6 @@ class _held_stream:
         return self.rng
 
 
-def _replication_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
-    """Yield the stream rng_from_seed(replication_seed(seed, r)) for each
-    r in range(count), from the held Philox that generate uses.  The same
-    Generator is yielded every time, so a stream is valid only until the
-    next step; the Philox goes back when the iteration ends (or the
-    generator is closed)."""
-    with _held_stream() as stream:
-        for r in range(count):
-            yield stream.keyed(replication_seed(seed, r))
-
-
 def draw_link_indexes(
     rng: np.random.Generator, count: int, probs: LinkProbabilities
 ) -> np.ndarray:

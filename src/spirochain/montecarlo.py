@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .chain import LinkProbabilities, _replication_streams
+from .chain import LinkProbabilities, _held_stream, replication_seed
 from .errors import EmptySample, NTooLarge, SampleTooSmall, allocating, require_n
 from .indices import IndexSpec
 
@@ -97,8 +97,9 @@ def simulate(
     c = analytics.coefficients(spec, probs)
     with allocating(reps, "reps"):
         ortho = np.empty(reps, dtype=np.int64)
-    with allocating(n):
-        for r, rng in enumerate(_replication_streams(seed, reps)):
+    with allocating(n), _held_stream() as stream:
+        for r in range(reps):
+            rng = stream.keyed(replication_seed(seed, r))
             ortho[r] = np.count_nonzero(rng.random(steps) < c.p_ortho)
     values = analytics._values(c, steps, ortho)
     values.setflags(write=False)
@@ -133,9 +134,11 @@ class HistogramData:
 
 
 def histogram(samples, bins: int) -> HistogramData:
-    """Bin the samples into `bins` uniform bins spanning [min, max]; a range
-    too narrow for `bins` distinct edges raises NTooLarge naming it, and one
-    whose densities overflow float64 raises NonFiniteSample."""
+    """Bin the samples into `bins` uniform bins spanning [min, max], or
+    [v - 0.5, v + 0.5] for a constant sample v (numpy's rule); a range too
+    narrow for `bins` distinct edges (a constant 1e20, say) raises NTooLarge
+    naming it, and one whose densities overflow float64 raises
+    NonFiniteSample."""
     x = analytics._floats(samples, "histogram")
     if x.size == 0:
         raise EmptySample("cannot histogram an empty sample")
@@ -231,12 +234,10 @@ def martingale_residual_check(
         raise NTooLarge(f"trajectories={trajectories} exceeds the int64 range "
                         "of the tally that counts it")
     c = analytics.coefficients(spec, probs)
-    starts = range(0, trajectories, _TRAJECTORY_BLOCK)
-    with allocating(n):
+    with allocating(n), _held_stream() as stream:
         tally = np.zeros(steps, dtype=np.int64)
-        # Streams first: zip then runs them out, and their Philox goes back.
-        for rng, start in zip(_replication_streams(seed, len(starts)), starts):
+        for block, start in enumerate(range(0, trajectories, _TRAJECTORY_BLOCK)):
             size = min(_TRAJECTORY_BLOCK, trajectories - start)
-            u = rng.random(size * steps)
+            u = stream.keyed(replication_seed(seed, block)).random(size * steps)
             tally += np.count_nonzero(u.reshape(size, steps) < c.p_ortho, axis=0)
     return float(np.max(np.abs(c.B * (tally / trajectories - c.p_ortho))))

@@ -77,6 +77,19 @@ def enum_oracle():
     return EnumOracle()
 
 
+@pytest.fixture
+def philox_builds(monkeypatch):
+    """The list that gains one entry per np.random.Philox built from here on."""
+    real, built = np.random.Philox, []
+
+    def counting_philox(*args, **kwargs):
+        built.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    return built
+
+
 _REFERENCE_OFFSET = {LinkType.ORTHO: 1, LinkType.META: 2, LinkType.PARA: 3}
 
 

@@ -352,25 +352,17 @@ def _serial_codes(n, probs, seed):
     return bytes(b"OMP"[i] for i in indexes.tolist())
 
 
-def test_generate_builds_one_philox_per_thread(monkeypatch):
-    real = np.random.Philox
-    built = []
-
-    def counting_philox(*args, **kwargs):
-        built.append(None)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "Philox", counting_philox)
+def test_generate_builds_one_philox_per_thread(philox_builds):
     generate(30, UNIFORM, 0)  # warm-up: this thread builds its Philox if it has none
-    built.clear()
+    philox_builds.clear()
     for seed in range(50):
         generate(30, UNIFORM, seed)
-    assert built == []
+    assert philox_builds == []
     worker = threading.Thread(target=lambda: [generate(30, UNIFORM, s) for s in range(5)])
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    assert len(built) == 1  # the new thread's own
+    assert len(philox_builds) == 1  # the new thread's own
 
 
 def test_generated_streams_are_bit_stable_under_threads():

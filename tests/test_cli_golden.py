@@ -1,13 +1,15 @@
 """CLI outputs frozen byte for byte: exit code, stdout and every file written.
 
-`cli_golden.json` holds, for each command, its argv (output paths under a
-`{tmp}` placeholder), the exit code, and the sha256 of stdout and of each
-output file (null when the file must not exist).  Regenerate it only when an
-output change is intended:
+`cli_golden.json` is the one list of CLI cases.  It holds, for each command,
+its argv (output paths under a `{tmp}` placeholder), the exit code, and the
+sha256 of stdout and of each output file (null when the file must not exist).
+Re-record it only when an output change is intended, or to add a case (append
+`{"argv": [...]}` to the file first):
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-It prints the argv of each entry that changed and the count of the rest.
+That re-runs the argv of every entry in the file, in order, and prints the
+argv of each entry that changed and the count of the rest.
 """
 
 import contextlib
@@ -22,63 +24,9 @@ import pytest
 from spirochain.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
+ENTRIES = json.loads(GOLDEN.read_text())
 
 _OUT_FLAGS = ("--out", "--samples-out", "--histogram-out")
-
-COMMANDS = [
-    ["generate", "--n", "2"],
-    ["generate", "--n", "5", "--p-ortho", "1", "--p-meta", "0", "--p-para", "0"],
-    ["generate", "--n", "30", "--seed", "11", "--p-ortho", "0.3", "--p-meta", "0.45",
-     "--p-para", "0.25", "--format", "json"],
-    ["generate", "--n", "50", "--seed", "7", "--out", "{tmp}/g.json"],
-    ["generate", "--n", "3", "--format", "csv"],
-    ["generate", "--n", "1"],
-    ["generate", "--n", "4", "--p-ortho", "0.5", "--p-meta", "0.4", "--p-para", "0.4"],
-    ["generate", "--n", "4", "--p-meta", "0.5"],
-    ["compute", "--index", "first-zagreb", "--links", "OMP"],
-    ["compute", "--index", "second-zagreb", "--links", "", "--format", "csv"],
-    ["compute", "--index", "sombor", "--n", "6", "--seed", "3"],
-    ["compute", "--index", "variable-sum-connectivity", "--a", "0.5", "--n", "20",
-     "--seed", "4", "--p-ortho", "0.2", "--format", "csv", "--out", "{tmp}/c.csv"],
-    ["compute", "--index", "randic", "--links", "OMX"],
-    ["compute", "--index", "randic"],
-    ["compute", "--index", "randic", "--links", "O", "--n", "4"],
-    ["compute", "--index", "wiener", "--links", "O"],
-    ["analyze", "--index", "sombor", "--n", "100", "--p-ortho", "0.3"],
-    ["analyze", "--index", "variable-sum-connectivity", "--n", "5", "--a", "1.0",
-     "--format", "csv"],
-    ["analyze", "--index", "randic", "--n", "9", "--out", "{tmp}/a.json"],
-    ["analyze", "--index", "variable-sum-connectivity", "--n", "5"],
-    ["analyze", "--index", "randic", "--n", "5", "--a", "2"],
-    ["analyze", "--index", "variable-first-zagreb", "--a", "2000", "--n", "10"],
-    ["analyze", "--index", "variable-first-zagreb", "--a", "511", "--n", "10",
-     "--format", "csv", "--out", "{tmp}/nf.csv"],
-    ["distribution", "--index", "second-zagreb", "--n", "4", "--p-ortho", "0.3333333",
-     "--p-meta", "0.3333333", "--p-para", "0.3333334"],
-    ["distribution", "--index", "first-zagreb", "--n", "6", "--format", "json"],
-    ["distribution", "--index", "randic", "--n", "40", "--p-ortho", "0.5",
-     "--format", "json", "--out", "{tmp}/d.json"],
-    ["distribution", "--index", "variable-sum-connectivity", "--a", "1e-10",
-     "--n", "1000"],
-    ["simulate", "--index", "second-zagreb", "--n", "300", "--reps", "400",
-     "--seed", "5", "--standardize", "--samples-out", "{tmp}/s.csv",
-     "--histogram-out", "{tmp}/h.csv", "--bins", "20"],
-    ["simulate", "--index", "first-zagreb", "--n", "50", "--reps", "20"],
-    ["simulate", "--index", "variable-sum-connectivity", "--a", "-0.5", "--n", "200",
-     "--reps", "150", "--seed", "9", "--p-ortho", "0.6", "--out", "{tmp}/sim.json",
-     "--histogram-out", "{tmp}/h2.csv"],
-    ["simulate", "--index", "first-zagreb", "--n", "50", "--reps", "20",
-     "--standardize"],
-    ["simulate", "--index", "nirmala", "--n", "5", "--reps", "0"],
-    ["simulate", "--index", "nirmala", "--n", "4", "--reps", "5", "--format", "csv"],
-    ["simulate", "--index", "nirmala", "--n", "10", "--reps", "5", "--bins", "0"],
-    ["simulate", "--index", "nirmala", "--n", "100", "--reps", "50",
-     "--samples-out", "{tmp}/s2.csv", "--histogram-out", "{tmp}/missing/h.csv"],
-    ["compare", "--n", "50", "--p-ortho", "0.5"],
-    ["compare", "--n", "10", "--format", "csv"],
-    ["compare", "--n", "30", "--p-ortho", "0.2", "--p-meta", "0.5", "--p-para", "0.3",
-     "--out", "{tmp}/cmp.json"],
-]
 
 
 def _sha256(data: str) -> str:
@@ -102,15 +50,6 @@ def _record(argv: list[str], tmp: Path) -> dict:
             "files": files}
 
 
-# Read at import so that the script below can run before the file exists;
-# the first test then fails rather than passing over nothing.
-ENTRIES = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
-
-
-def test_golden_covers_every_command():
-    assert [entry["argv"] for entry in ENTRIES] == COMMANDS
-
-
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: " ".join(e["argv"]))
 def test_cli_output_is_byte_identical(entry, tmp_path):
     assert _record(entry["argv"], tmp_path) == entry
@@ -120,9 +59,9 @@ if __name__ == "__main__":
     import tempfile
 
     records = []
-    for argv in COMMANDS:
+    for entry in ENTRIES:
         with tempfile.TemporaryDirectory() as tmp:
-            records.append(_record(argv, Path(tmp)))
+            records.append(_record(entry["argv"], Path(tmp)))
     changed = [record for record in records if record not in ENTRIES]
     for record in changed:
         print("changed:", " ".join(record["argv"]), file=sys.stderr)

@@ -31,7 +31,7 @@ from spirochain import (
     standardized_sample,
     summarize,
 )
-from spirochain.chain import _replication_streams
+from spirochain.chain import _held_stream
 
 UNIFORM = LinkProbabilities.uniform()
 ZAGREB1 = registry_lookup("first-zagreb")
@@ -99,6 +99,7 @@ def test_histogram_examples():
     single = histogram([7.5] * 3, bins=4)
     assert single.total == 3
     assert np.count_nonzero(single.counts) == 1
+    assert single.edges[0] == 7.0 and single.edges[-1] == 8.0
 
     quartet = histogram([0.0, 1.0, 2.0, 3.0], bins=2)
     assert list(quartet.counts) == [2, 2]
@@ -187,17 +188,19 @@ def test_replication_streams_equal_freshly_keyed_philox():
     )
     pairs = 0
     for seed in seeds:
-        for r, rng in enumerate(_replication_streams(seed, 110)):
-            fresh = rng_from_seed(replication_seed(seed, r))
-            assert _same_state(rng.bit_generator.state, fresh.bit_generator.state)
-            assert np.array_equal(rng.random(37), fresh.random(37))
-            # Leave a part-used buffer and a pending 32-bit half behind.
-            assert rng.integers(2**32, dtype=np.uint32) == fresh.integers(
-                2**32, dtype=np.uint32
-            )
-            assert rng.bit_generator.state["has_uint32"] == 1
-            generate(20, UNIFORM, seed + r)
-            pairs += 1
+        with _held_stream() as stream:
+            for r in range(110):
+                rng = stream.keyed(replication_seed(seed, r))
+                fresh = rng_from_seed(replication_seed(seed, r))
+                assert _same_state(rng.bit_generator.state, fresh.bit_generator.state)
+                assert np.array_equal(rng.random(37), fresh.random(37))
+                # Leave a part-used buffer and a pending 32-bit half behind.
+                assert rng.integers(2**32, dtype=np.uint32) == fresh.integers(
+                    2**32, dtype=np.uint32
+                )
+                assert rng.bit_generator.state["has_uint32"] == 1
+                generate(20, UNIFORM, seed + r)
+                pairs += 1
     assert pairs >= 1000
 
 
@@ -234,23 +237,15 @@ def test_martingale_residuals_equal_the_per_block_reference(trajectories):
         assert martingale_residual_check(ZAGREB2, UNIFORM, 30, trajectories, seed) == expected
 
 
-def test_monte_carlo_builds_no_philox_of_its_own(monkeypatch):
-    real = np.random.Philox
-    built = []
-
-    def counting_philox(*args, **kwargs):
-        built.append(None)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "Philox", counting_philox)
+def test_monte_carlo_builds_no_philox_of_its_own(philox_builds):
     rng_from_seed(1)
-    assert len(built) == 1  # the count sees every construction
+    assert len(philox_builds) == 1  # the count sees every construction
     generate(30, UNIFORM, 0)  # warm-up: this thread builds its Philox if it has none
-    built.clear()
+    philox_builds.clear()
     for _ in range(2):  # a stream that was not put back shows on the second call
         simulate(NIRMALA, 40, UNIFORM, 50, seed=3)
         martingale_residual_check(ZAGREB2, UNIFORM, 10, 2 * 8192 + 1, seed=3)
-    assert built == []
+    assert philox_builds == []
 
 
 @pytest.mark.parametrize(
