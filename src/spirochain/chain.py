@@ -4,10 +4,11 @@ profiles are the scalar model (`_model`); this module re-exports them.
 
 Every ring is listed from its shared vertex, so each shared vertex has a
 closed form in the link offsets, and one builder computes all rings at
-once.  The chain writes its edge list's JSON text itself, straight from
-the rings, each ring's six rows already in (low, high) order; the validated
-graph is built from the same rows only when `graph` is first read, and is
-the writer's oracle.
+once.  The chain writes its edge list's JSON text itself, each ring's six
+rows in (low, high) order: it reads every id's text from one digit table
+and gathers only the shared vertices.  The validated graph, built from the
+ring array only when `graph` is first read, shares no code with the writer
+and is its oracle.
 
 Reproducibility contract: random growth uses a Philox (4x64, 10 rounds)
 counter-based generator keyed directly by the 64-bit seed, and link types
@@ -48,8 +49,8 @@ _RING_IDS = np.arange(6, dtype=_EDGE_DTYPE)
 # The link code of each LINK_ORDER index.
 _CODE_TABLE = np.frombuffer(_CODES, np.uint8)
 
-# Rings per block of the JSON edge writer: a block's 32,766 rows (~1 MB of
-# arrays at six-digit ids) stay in L2 through its digit passes.
+# Rings per block of the JSON edge writer: a block's ring table (5,461 x
+# 108 B, ~590 KB at six-digit ids) stays in L2 while its fields are filled.
 _BLOCK_RINGS = 5461
 
 # Per thread, the Philox and its fresh state that _held_stream hands out
@@ -79,42 +80,62 @@ def _graph(chain: SpiroChain) -> MolecularGraph:
         return MolecularGraph(5 * chain.n + 1, rows)
 
 
+def _digit_table(top: int) -> np.ndarray:
+    """Every id 0, 1, ..., top as a d-byte void, d the digits of top: its
+    ASCII digits right-aligned behind zero bytes.  Digit k of 0, 1, 2, ...
+    is the run "0".."9", each digit repeated 10**k times, tiled; so each
+    digit column is one strided broadcast, with no division."""
+    d, digits = len(str(top)), np.frombuffer(b"0123456789", np.uint8)
+    # Whole runs of the leading digit: ids 0 up to (top's first digit + 1) * 10**(d - 1) - 1.
+    table = np.empty(((int(str(top)[0]) + 1) * 10 ** (d - 1), d), np.uint8)
+    for k in range(d):
+        run = 10**k
+        tiles = min(10, len(table) // run)
+        column = table.reshape(-1, tiles, run, d)[..., d - 1 - k]
+        column[:] = digits[:tiles, None]
+        if k:
+            column[0, 0] = 0  # ids below 10**k have no digit k
+    return table[: top + 1].reshape(-1).view(f"V{d}")
+
+
 def _edges_json_blocks(chain: SpiroChain) -> Iterator[bytes]:
     """The JSON text of chain.graph.edges as ASCII byte chunks, in order,
-    written from the rings _BLOCK_RINGS at a time; builds no graph.
+    written _BLOCK_RINGS rings at a time; builds no graph.
 
-    Built in numpy, with no Python object per edge, one block at a time,
-    so that every pass over a block stays in cache.  Every row is laid
-    out as "[u, v], " in one fixed-width byte table reused by all
-    blocks, each id right-aligned in d columns (d digits of the largest
-    id, 5n) behind zero bytes; deleting the zero bytes leaves the JSON
-    text of the block.
+    Built in numpy, with no Python object per edge and no division per id:
+    every id is a d-byte row of _digit_table(5n).  Ring j's new ids f_j,
+    ..., f_j + 4 (f_j = 5j - 4) are its rows 1..5n, read in place; only the
+    shared vertices s_j are gathered (see _ring_array).  A block fills one
+    reused table of "[u, v], " records, six per ring: its JSON text once
+    the zero bytes of ids shorter than d digits are deleted, which only a
+    block whose first shared vertex is shorter than d digits holds.
     """
-    n, rings, top = chain.n, _ring_array(chain), 5 * chain.n
+    n, top = chain.n, 5 * chain.n
     d = len(str(top))
-    layout = np.frombuffer(b"[" + bytes(d) + b", " + bytes(d) + b"], ", np.uint8)
-    table = np.empty((6 * min(n, _BLOCK_RINGS), layout.size), dtype=np.uint8)
-    table[:] = layout  # every block rewrites all digit columns
-    dtype = np.min_scalar_type(top)
+    with allocating(n):
+        digits = _digit_table(top)
+        new = digits[1:].reshape(n, 5)
+        shared = np.arange(-4, top - 4, 5)  # 5j - 9 for ring j
+        shared[:2] = 0
+        shared[2:] += np.frombuffer(chain.codes.translate(_CODE_TO_INDEX), np.uint8)
+        shared_digits = digits[shared]
+        layout = np.frombuffer((b"[" + bytes(d) + b", " + bytes(d) + b"], ") * 6, np.uint8)
+        buffer = np.tile(layout, (min(n, _BLOCK_RINGS), 1))  # blocks rewrite only the ids
+        table = buffer.view(np.dtype({"names": ["u", "v"], "formats": [f"V{d}"] * 2,
+                                      "offsets": [1, d + 3], "itemsize": 2 * d + 6}))
     yield b"["
     for i in range(0, n, _BLOCK_RINGS):
-        block = rings[i:i + _BLOCK_RINGS].take(_RING_EDGES, axis=1)
-        value = block.astype(dtype).reshape(-1, 2)
-        rows = table[: len(value)]
-        rest = np.empty_like(value)
-        digit = np.empty(value.shape, dtype=np.uint8)
-        for k in range(d):  # k-th digit from the right of u and of v
-            np.floor_divide(value, 10, out=rest)
-            np.subtract(value, rest * 10, out=digit, casting="unsafe")
-            digit += ord("0")
-            if k:
-                digit *= value != 0  # a leading zero stays a zero byte
-            rows[:, d - k] = digit[:, 0]
-            rows[:, 2 * d + 2 - k] = digit[:, 1]
-            value, rest = rest, value
-        if i + _BLOCK_RINGS >= n:
-            rows[-1, -2:] = 0  # no ", " after the last row
-        yield rows.tobytes().replace(b"\0", b"")
+        end = min(i + _BLOCK_RINGS, n)
+        rows = table[: end - i]
+        u, v = rows["u"], rows["v"]  # (rings, 6): the path s, f, ..., f + 4, then (s, f + 4)
+        u[:, 0] = u[:, 5] = shared_digits[i:end]
+        u[:, 1:5] = new[i:end, :4]
+        v[:, :5] = new[i:end]
+        v[:, 5] = new[i:end, 4]
+        text = rows.tobytes()
+        if shared[i] < 10 ** (d - 1):
+            text = text.replace(b"\0", b"")
+        yield text if end < n else text[:-2]  # no ", " after the last row
     yield b"]"
 
 

@@ -97,3 +97,24 @@ def test_cli_histogram_beyond_numpy_limits_exits_2(capsys, tmp_path):
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert f"bins={bins}" in captured.err and not path.exists()
+
+
+WRITER_CHILD = """
+import resource
+from spirochain import NTooLarge, SpiroChain
+from spirochain.chain import _edges_json_blocks
+limit = 2 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+chain = SpiroChain(5 * 10**7, b"M" * (5 * 10**7 - 2))
+try:
+    list(_edges_json_blocks(chain))
+except NTooLarge as error:
+    print(error)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs resource limits")
+def test_edge_writer_beyond_memory_raises_n_too_large():
+    proc = run_fresh("-c", WRITER_CHILD, OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n=50000000 is too large"), proc.stdout

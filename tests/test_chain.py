@@ -39,7 +39,7 @@ from spirochain import (
     splitmix64,
     vertex_profile,
 )
-from spirochain.chain import _BLOCK_RINGS, _edges_json_blocks, allocating
+from spirochain.chain import _BLOCK_RINGS, _digit_table, _edges_json_blocks, allocating
 
 UNIFORM = LinkProbabilities.uniform()
 
@@ -544,3 +544,21 @@ def test_chain_writer_matches_the_graph_at_ring_block_boundaries(n):
     assert_chain_writes_its_graph(chain)
     blocks = list(_edges_json_blocks(chain))
     assert len(blocks) == 2 + -(-n // RING_BLOCK)  # "[", the blocks, "]"
+
+
+@pytest.mark.parametrize("top", [5, 9, 10, 99, 100, 500_000])
+def test_digit_table_holds_every_id_right_aligned_behind_zero_bytes(top):
+    d = len(str(top))
+    table = _digit_table(top)
+    assert table.dtype == np.dtype(f"V{d}") and table.shape == (top + 1,)
+    assert table.tobytes() == "".join(str(i).rjust(d, "\0") for i in range(top + 1)).encode()
+
+
+@pytest.mark.parametrize("probs", [UNIFORM, (1.0, 0.0, 0.0)], ids=["uniform", "ortho"])
+@pytest.mark.parametrize(
+    "n", [19, 20, 199, 200, 1_999, 2_000, 19_999, 20_000, 20_001, 21_844, 21_845])
+def test_chain_writer_matches_the_graph_at_digit_width_boundaries(n, probs):
+    # The largest id 5n gains a digit at n = 20, 200, 2,000 and 20,000.  A
+    # block whose first shared vertex has d digits skips the zero-byte strip:
+    # from n = 21,845 on, the fifth block (first ring 21,845) is one.
+    assert_chain_writes_its_graph(generate(n, probs, n))
