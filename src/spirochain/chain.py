@@ -13,8 +13,11 @@ and is its oracle.
 Reproducibility contract: random growth uses a Philox (4x64, 10 rounds)
 counter-based generator keyed directly by the 64-bit seed, and link types
 are selected by inverse CDF over (p_ortho, p_meta, p_para) in that fixed
-order.  Derived seeds for replicated runs mix the replication index through
-splitmix64 and XOR it into the master seed.
+order, taken in integer units of the 64-bit Philox words: numpy's uniform
+from word w is (w >> 11) * 2**-53, so comparing w with integer thresholds
+gives exactly the buckets of those uniforms (_word_thresholds).  Derived
+seeds for replicated runs mix the replication index through splitmix64 and
+XOR it into the master seed.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ _CODE_TABLE = np.frombuffer(_CODES, np.uint8)
 # Rings per block of the JSON edge writer: a block's ring table (5,461 x
 # 108 B, ~590 KB at six-digit ids) stays in L2 while its fields are filled.
 _BLOCK_RINGS = 5461
+
+# _word_thresholds' last triple and its result; the sentinel is no triple.
+_LAST_THRESHOLDS = (object(), None)
 
 # Per thread, the Philox and its fresh state that _held_stream hands out
 # while no call of that thread holds them.
@@ -175,21 +181,52 @@ class _held_stream:
         return self.rng
 
 
+def _word_thresholds(probs) -> np.ndarray:
+    """The inverse CDF of a probability triple in units of 64-bit words: a
+    read-only uint64 array, a word's link index being the number of its
+    entries at or below the word.  A uniform (w >> 11) * 2**-53 is below p
+    exactly when w < ceil(p * 2**53) * 2**11, for p in the float64 CDF
+    (p_ortho, p_ortho + p_meta).  A threshold of 2**64 or more, which no
+    word reaches, is left out (p_ortho = 1, or p_ortho + p_meta rounding to
+    1 or above).  Compare words with these np.uint64 values, never with a
+    Python int: numpy 1.x compares that with uint64 as float64.
+
+    Remembers the last hashable triple it validated.  Only the same object
+    hits: an equal triple of another type (float32, Decimal) can round the
+    sum, or its check, differently.
+    """
+    global _LAST_THRESHOLDS
+    last, thresholds = _LAST_THRESHOLDS
+    if probs is last:
+        return thresholds
+    p = _coerce_probs(probs)
+    limits = (math.ceil(math.ldexp(float(x), 53)) << 11 for x in (p.p_ortho, p.p_ortho + p.p_meta))
+    thresholds = np.array([t for t in limits if t <= _MASK64], dtype=np.uint64)
+    thresholds.setflags(write=False)
+    try:
+        hash(probs)  # an unhashable triple (a list, say) can change before the next call
+        _LAST_THRESHOLDS = probs, thresholds
+    except TypeError:
+        pass
+    return thresholds
+
+
 def draw_link_indexes(
     rng: np.random.Generator, count: int, probs: LinkProbabilities
 ) -> np.ndarray:
     """Inverse-CDF link selection over (ortho, meta, para), in that order.
 
-    Returns indexes into LINK_ORDER.  The final CDF boundary is pinned to
-    1.0 so that uniforms never fall past the last bucket.  `count` is
-    checked like every count (require_n, minimum 0), and one too large for
-    the arrays it sizes raises NTooLarge.
+    Returns indexes into LINK_ORDER: the buckets of count uniforms of rng,
+    found from the raw words of its bit generator (_word_thresholds), which
+    must make a uniform as (word >> 11) * 2**-53 as numpy's Philox does.
+    `count` is checked like every count (require_n, minimum 0), and one too
+    large for the arrays it sizes raises NTooLarge.
     """
     count = require_n(count, minimum=0, name="count")
-    probs = _coerce_probs(probs)
-    cdf = np.array([probs.p_ortho, probs.p_ortho + probs.p_meta, 1.0], dtype=float)
+    thresholds = _word_thresholds(probs)
     with allocating(count, "count"):
-        return cdf.searchsorted(rng.random(count), side="right").astype(np.int64, copy=False)
+        words = rng.bit_generator.random_raw(count)
+        return thresholds.searchsorted(words, side="right").astype(np.int64, copy=False)
 
 
 def generate(n: int, probs: LinkProbabilities, seed: int) -> SpiroChain:

@@ -5,9 +5,10 @@ Each replication derives its own Philox stream from the master seed
 are scheduled.  The replications of one call share one Philox, rekeyed to
 each derived seed in turn: a rekey costs a fraction of building a Philox.
 An index value is ti2 + alpha_meta * (n-2) + B * k with k the ortho count,
-so a replication only counts its uniforms below p_ortho, which is the ortho
-bucket of generate()'s inverse-CDF draw; no link sequence or graph is
-built.
+so a replication only counts its Philox words below the ortho threshold of
+generate()'s inverse-CDF draw (chain._word_thresholds): the words whose
+uniforms fall below p_ortho, found without making the uniforms.  No link
+sequence or graph is built.
 """
 
 from __future__ import annotations
@@ -18,13 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .chain import LinkProbabilities, _held_stream, replication_seed
+from .chain import LinkProbabilities, _held_stream, _word_thresholds, replication_seed
 from .errors import EmptySample, NTooLarge, SampleTooSmall, allocating, require_n
 from .indices import IndexSpec
 
 _TRAJECTORY_BLOCK = 8192
 
 _erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def _ortho_threshold(probs: LinkProbabilities) -> np.uint64 | None:
+    """The word threshold of an ortho link, or None for p_ortho = 1: every word."""
+    thresholds = _word_thresholds(probs)
+    return thresholds[0] if thresholds.size else None
 
 
 @dataclass(frozen=True)
@@ -95,12 +102,13 @@ def simulate(
     steps = require_n(n) - 2
     reps = require_n(reps, minimum=1, name="reps")
     c = analytics.coefficients(spec, probs)
+    below = _ortho_threshold(probs)
     with allocating(reps, "reps"):
         ortho = np.empty(reps, dtype=np.int64)
     with allocating(n), _held_stream() as stream:
         for r in range(reps):
-            rng = stream.keyed(replication_seed(seed, r))
-            ortho[r] = np.count_nonzero(rng.random(steps) < c.p_ortho)
+            words = stream.keyed(replication_seed(seed, r)).bit_generator.random_raw(steps)
+            ortho[r] = steps if below is None else np.count_nonzero(words < below)
     values = analytics._values(c, steps, ortho)
     values.setflags(write=False)
     ortho.setflags(write=False)
@@ -225,8 +233,8 @@ def martingale_residual_check(
     right, and is exactly 0 for indices with B = 0.
 
     Trajectories are drawn in blocks of 8192; block b uses the stream
-    seeded by replication_seed(seed, b), one row of n-2 uniforms per
-    trajectory.
+    seeded by replication_seed(seed, b), one row of n-2 words per
+    trajectory, each ortho when below the ortho threshold.
     """
     steps = require_n(n, minimum=3) - 2
     trajectories = require_n(trajectories, minimum=1, name="trajectories")
@@ -234,10 +242,12 @@ def martingale_residual_check(
         raise NTooLarge(f"trajectories={trajectories} exceeds the int64 range "
                         "of the tally that counts it")
     c = analytics.coefficients(spec, probs)
+    below = _ortho_threshold(probs)
     with allocating(n), _held_stream() as stream:
         tally = np.zeros(steps, dtype=np.int64)
         for block, start in enumerate(range(0, trajectories, _TRAJECTORY_BLOCK)):
             size = min(_TRAJECTORY_BLOCK, trajectories - start)
-            u = stream.keyed(replication_seed(seed, block)).random(size * steps)
-            tally += np.count_nonzero(u.reshape(size, steps) < c.p_ortho, axis=0)
+            words = stream.keyed(replication_seed(seed, block)).bit_generator.random_raw(
+                size * steps).reshape(size, steps)
+            tally += size if below is None else np.count_nonzero(words < below, axis=0)
     return float(np.max(np.abs(c.B * (tally / trajectories - c.p_ortho))))

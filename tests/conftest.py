@@ -1,9 +1,11 @@
 """Shared fixtures: exhaustive enumeration oracle and small helpers."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,29 @@ import spirochain
 from spirochain import LINK_ORDER, LinkType, enumerate_all, evaluate, replay
 
 SRC = str(Path(spirochain.__file__).resolve().parents[1])
+
+# Probabilities at the edges of the inverse-CDF draw: 0, 1, the smallest
+# subnormal, 1/3, 1 - 2**-53, and values j * 2**-53 (a uniform's steps)
+# with their float neighbours.
+_EDGE_PS = [0.0, 1.0, 5e-324, 1 / 3, 1 - 2**-53] + [
+    q for j in (1, 2, 3, 2**52 - 1, 2**52, 2**53 - 1)
+    for q in (j * 2**-53, math.nextafter(j * 2**-53, 0), math.nextafter(j * 2**-53, 1))
+]
+
+# Triples that put each edge value at the ortho cut, at the para cut, or at
+# both; Fraction triples (the last one's p_ortho + p_meta, 1 - 2**-54,
+# rounds to 1); and float triples whose p_ortho + p_meta is 1 or rounds
+# above it, so that no uniform is para.
+EDGE_TRIPLES = list(dict.fromkeys(
+    t for p in _EDGE_PS for t in ((p, (1 - p) / 2, (1 - p) / 2), (0.0, p, 1 - p), (p, 0.0, 1 - p))
+)) + [
+    (Fraction(1, 3),) * 3,
+    (Fraction(1, 7), Fraction(5, 7), Fraction(1, 7)),
+    (Fraction(2**53 - 1, 2**53), Fraction(1, 2**54), Fraction(1, 2**54)),
+    (0.6, 0.4, 0.0),
+    (1 - 2**-53, 2**-53, 0.0),
+    (0.5, 0.5 + 1e-13, 0.0),
+]
 
 
 def run_fresh(*args, text=True, **env):

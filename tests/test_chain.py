@@ -8,6 +8,7 @@ import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spirochain as sc
-from conftest import assert_matches_reference, reference_replay
+from conftest import EDGE_TRIPLES, assert_matches_reference, reference_replay
 from spirochain import (
     EdgeProfile,
     InvalidN,
@@ -39,7 +40,9 @@ from spirochain import (
     splitmix64,
     vertex_profile,
 )
-from spirochain.chain import _BLOCK_RINGS, _digit_table, _edges_json_blocks, allocating
+from spirochain.chain import (
+    _BLOCK_RINGS, _digit_table, _edges_json_blocks, _held_stream, allocating,
+)
 
 UNIFORM = LinkProbabilities.uniform()
 
@@ -178,6 +181,78 @@ def test_draw_link_indexes_validates_its_count():
     assert sc.draw_link_indexes(rng, 0, UNIFORM).tolist() == []
     assert sc.draw_link_indexes(rng, np.int64(4), UNIFORM).shape == (4,)
     assert generate(2, UNIFORM, 0).codes == b""
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1, 12345678901234567])
+def test_uniforms_are_the_top_53_bits_of_the_raw_words(seed):
+    """The identity the word-threshold draw rests on: numpy makes a uniform
+    as (w >> 11) * 2**-53 from each Philox word w, also on a stream that
+    _held_stream rekeyed after use."""
+    raw = rng_from_seed(seed).bit_generator.random_raw(1001)
+    uniforms = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    assert np.array_equal(rng_from_seed(seed).random(1001), uniforms)
+    with _held_stream() as stream:
+        stream.keyed(seed ^ 1).random(7)  # leave a part-used buffer behind
+        assert np.array_equal(stream.keyed(seed).random(1001), uniforms)
+
+
+def _emitting(words):
+    """A Philox generator whose next four draws use `words`: its four-word
+    output buffer, full."""
+    rng = rng_from_seed(0)
+    state = rng.bit_generator.state
+    state["buffer"][:], state["buffer_pos"] = words, 0
+    rng.bit_generator.state = state
+    return rng
+
+
+def _reference_indexes(rng, count, probs):
+    """The contract's inverse CDF over rng.random(): a search of the
+    uniforms over the float64 CDF, its last boundary 1.0."""
+    p = LinkProbabilities(*probs)
+    cdf = np.array([p.p_ortho, p.p_ortho + p.p_meta, 1.0], dtype=float)
+    return cdf.searchsorted(rng.random(count), side="right").tolist()
+
+
+@pytest.mark.parametrize("probs", EDGE_TRIPLES, ids=repr)
+def test_link_indexes_equal_the_buckets_of_the_uniforms(probs):
+    """The words whose uniforms lie just below, at and just above each CDF
+    cut, the extreme words, and seeded streams."""
+    words = {0, 2**64 - 1}
+    for cut in np.array([probs[0], probs[0] + probs[1]], dtype=float).tolist():
+        step = math.floor(cut * 2**53)
+        words.update(m << 11 | low for m in range(step - 1, step + 2) if 0 <= m < 2**53
+                     for low in (0, 2047))
+    words = sorted(words) + [0] * (-len(words) % 4)
+    for i in range(0, len(words), 4):
+        got = draw_link_indexes(_emitting(words[i: i + 4]), 4, probs).tolist()
+        assert got == _reference_indexes(_emitting(words[i: i + 4]), 4, probs), words[i: i + 4]
+    for seed in (0, 2**64 - 1):
+        got = draw_link_indexes(rng_from_seed(seed), 500, probs).tolist()
+        assert got == _reference_indexes(rng_from_seed(seed), 500, probs)
+
+
+def test_link_thresholds_are_remembered_for_the_same_triple_only(monkeypatch):
+    checks = []
+    real = sc.chain._coerce_probs
+    monkeypatch.setattr(sc.chain, "_coerce_probs", lambda p: checks.append(p) or real(p))
+    probs = tuple([0.3, 0.45, 0.25])
+    codes = [generate(30, probs, seed).codes for seed in range(3)]
+    assert checks == [probs]  # validated once
+    assert codes == [generate(30, list(probs), seed).codes for seed in range(3)]
+    for _ in range(2):  # a triple that fails its check is never remembered
+        with pytest.raises(InvalidProbabilities):
+            generate(30, (0.5, 0.5, 0.5), 0)
+    # Equal triples, but p_ortho + p_meta rounds to 0.5 in floats and above
+    # it in Decimal: each draws the word of the uniform 0.5 by its own sum.
+    floats = (0.5, 2**-54, 0.5 - 2**-54)
+    for probs in (floats, tuple(map(Decimal, floats))):
+        assert draw_link_indexes(_emitting([2**63] * 4), 1, probs).tolist() == _reference_indexes(
+            _emitting([2**63] * 4), 1, probs) == [2 if probs is floats else 1]
+    listed = [1.0, 0.0, 0.0]
+    assert draw_link_indexes(rng_from_seed(0), 3, listed).tolist() == [0, 0, 0]
+    listed[:] = [0.0, 0.0, 1.0]  # a list can change between calls, so it is not remembered
+    assert draw_link_indexes(rng_from_seed(0), 3, listed).tolist() == [2, 2, 2]
 
 
 # Every public function that takes link probabilities, reduced to a value
@@ -366,14 +441,17 @@ def test_generate_builds_one_philox_per_thread(philox_builds):
 
 
 def test_generated_streams_are_bit_stable_under_threads():
-    probs = LinkProbabilities(0.3, 0.45, 0.25)
+    # Each thread its own triple, so that the threads also take turns at
+    # the remembered thresholds of the last triple.
+    probs_of = [LinkProbabilities(0.3, 0.45, 0.25), (0.1, 0.2, 0.7), (0.6, 0.4, 0.0), UNIFORM]
+    probs = probs_of[0]
     n = 60
     # 2**64 + 5 reduces to 5 mod 2**64; a numpy integer keys like its value.
     edge_seeds = [0, 2**64 - 1, 2**64 + 5, np.uint64(2**64 - 2), np.uint64(7)]
     seeds = [edge_seeds + list(range(1000 * t, 1000 * t + 200)) for t in range(4)]
     start = threading.Barrier(4, timeout=60)
 
-    def work(own):
+    def work(own, probs):
         start.wait()
         return [generate(n, probs, seed).codes for seed in own]
 
@@ -381,12 +459,12 @@ def test_generated_streams_are_bit_stable_under_threads():
     sys.setswitchinterval(1e-6)  # switch threads between almost every bytecode
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(work, own) for own in seeds]
+            futures = [pool.submit(work, *args) for args in zip(seeds, probs_of)]
             results = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    for own, codes in zip(seeds, results):
-        assert codes == [_serial_codes(n, probs, seed) for seed in own]
+    for own, probs_t, codes in zip(seeds, probs_of, results):
+        assert codes == [_serial_codes(n, probs_t, seed) for seed in own]
     assert _serial_codes(n, probs, 2**64 + 5) == _serial_codes(n, probs, 5)
     with pytest.raises(TypeError):
         generate(n, probs, 5.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conftest import EDGE_TRIPLES
 from spirochain import (
     DegenerateVariance,
     DiscreteDistribution,
@@ -235,6 +236,38 @@ def test_martingale_residuals_equal_the_per_block_reference(trajectories):
     for seed in (5, 2**64 - 1):
         expected = _reference_residual(ZAGREB2, UNIFORM, 30, trajectories, seed)
         assert martingale_residual_check(ZAGREB2, UNIFORM, 30, trajectories, seed) == expected
+
+
+def _reference_counts(probs, n, reps, seed):
+    """simulate's ortho counts from random(): the uniforms of replication r
+    below p_ortho."""
+    p = float(LinkProbabilities(*probs).p_ortho)
+    return [int(np.count_nonzero(rng_from_seed(replication_seed(seed, r)).random(n - 2) < p))
+            for r in range(reps)]
+
+
+def _on_a_uniform(seed):
+    """Triples whose p_ortho is the first uniform of stream `seed`, or
+    either float neighbour of it."""
+    u = rng_from_seed(seed).random()
+    return [(q, 1 - q, 0.0) for q in (u, math.nextafter(u, 0), math.nextafter(u, 1))]
+
+
+# Replication 0 and trajectory block 0 of this seed start with a word that
+# is a multiple of 2**11: the ortho threshold of its own uniform.
+ON_A_WORD = 1405
+
+
+@pytest.mark.parametrize("probs", EDGE_TRIPLES + _on_a_uniform(replication_seed(ON_A_WORD, 0)),
+                         ids=repr)
+def test_ortho_counts_equal_the_uniforms_below_p_ortho(probs):
+    seed, n = ON_A_WORD, 12
+    assert rng_from_seed(replication_seed(seed, 0)).bit_generator.random_raw() % 2**11 == 0
+    assert simulate(NIRMALA, n, probs, 40, seed).ortho_counts.tolist() == _reference_counts(
+        probs, n, 40, seed)
+    for n, trajectories in ((n, 300), (3, 1)):  # (3, 1): the residual of the first word alone
+        assert martingale_residual_check(ZAGREB2, probs, n, trajectories, seed) == (
+            _reference_residual(ZAGREB2, probs, n, trajectories, seed))
 
 
 def test_monte_carlo_builds_no_philox_of_its_own(philox_builds):
