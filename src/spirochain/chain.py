@@ -88,20 +88,25 @@ def _graph(chain: SpiroChain) -> MolecularGraph:
 
 def _digit_table(top: int) -> np.ndarray:
     """Every id 0, 1, ..., top as a d-byte void, d the digits of top: its
-    ASCII digits right-aligned behind zero bytes.  Digit k of 0, 1, 2, ...
-    is the run "0".."9", each digit repeated 10**k times, tiled; so each
-    digit column is one strided broadcast, with no division."""
+    ASCII digits right-aligned behind zero bytes, in exactly top + 1 rows.
+    Digit k of 0, 1, 2, ... is the run "0".."9", each digit repeated 10**k
+    times, tiled; so each digit column of the first 10**(d - 1) ids is one
+    strided broadcast, with no division, and every further leading digit
+    is a copy of those rows."""
     d, digits = len(str(top)), np.frombuffer(b"0123456789", np.uint8)
-    # Whole runs of the leading digit: ids 0 up to (top's first digit + 1) * 10**(d - 1) - 1.
-    table = np.empty(((int(str(top)[0]) + 1) * 10 ** (d - 1), d), np.uint8)
-    for k in range(d):
+    low = 10 ** (d - 1)
+    table = np.empty((top + 1, d), np.uint8)
+    for k in range(d):  # ids below `low`, written with d digits
         run = 10**k
-        tiles = min(10, len(table) // run)
-        column = table.reshape(-1, tiles, run, d)[..., d - 1 - k]
-        column[:] = digits[:tiles, None]
-        if k:
-            column[0, 0] = 0  # ids below 10**k have no digit k
-    return table[: top + 1].reshape(-1).view(f"V{d}")
+        tiles = min(10, low // run)
+        table[:low].reshape(-1, tiles, run, d)[..., d - 1 - k] = digits[:tiles, None]
+    for lead in range(1, top // low + 1):
+        rows = table[lead * low : (lead + 1) * low]
+        rows[:] = table[: len(rows)]
+        rows[:, 0] = digits[lead]
+    for k in range(1, d):
+        table[: 10**k, d - 1 - k] = 0  # ids below 10**k have no digit k
+    return table.reshape(-1).view(f"V{d}")
 
 
 def _edges_json_blocks(chain: SpiroChain) -> Iterator[bytes]:
@@ -140,7 +145,7 @@ def _edges_json_blocks(chain: SpiroChain) -> Iterator[bytes]:
         v[:, 5] = new[i:end, 4]
         text = rows.tobytes()
         if shared[i] < 10 ** (d - 1):
-            text = text.replace(b"\0", b"")
+            text = text.translate(None, b"\0")
         yield text if end < n else text[:-2]  # no ", " after the last row
     yield b"]"
 

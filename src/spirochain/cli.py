@@ -6,7 +6,8 @@ flags, its default format, the function that turns its payload into a CSV
 table (None where it writes JSON only) and its handler.  `build_parser`
 loops over that table.  After parsing, `_resolve` checks the shared inputs
 once, in one order: --index and --a, then --n, then the probabilities.
-Handlers only build a payload, and `_emit` renders and writes every output.
+Handlers only build a payload, and `_emit` renders and writes every output;
+`generate`'s edge blocks are rendered while they are written.
 
 Only the scalar model and the index registry load up front, so `analyze`,
 `compare` and `compute --links` run without numpy.
@@ -18,8 +19,10 @@ standardized view of a deterministic index was requested), 4 internal error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -93,10 +96,14 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _emit(args: argparse.Namespace, payload, files) -> None:
     """Write each (path, flag, render) file whose path was given, then the
-    payload (a dict, or JSON as a list of byte chunks) in the chosen format
-    to --out or stdout.  All outputs are rendered before the first write,
-    and a failed write removes the regular files already written, so a
-    usage error leaves no partial output."""
+    payload (a dict, or JSON as an iterable of byte chunks) in the chosen
+    format to --out or stdout.  Chunks are written as they come, so an
+    error can arise after the first write: any exception removes the
+    regular files this call opened (never one whose open failed), so a
+    failed call leaves no partial file, though stdout may hold a prefix.
+    An OSError becomes a UsageError naming the output; an unwritable
+    stdout (a reader that has gone) also points stdout at os.devnull, so
+    that nothing fails again at exit."""
     if isinstance(payload, dict):
         text = (json.dumps(payload, indent=2, allow_nan=False) + "\n" if args.format == "json"
                 else _csv_text(*args.to_csv(payload)))
@@ -105,17 +112,30 @@ def _emit(args: argparse.Namespace, payload, files) -> None:
                for path, flag, render in files if path is not None]
     if args.out is not None:
         outputs.append((args.out, "--out", payload))
-    for i, (path, flag, chunks) in enumerate(outputs):
-        try:
-            with path.open("wb") as stream:
-                stream.writelines(chunks)
-        except OSError as exc:
-            for written, _, _ in outputs[:i]:
-                if written.is_file():  # never a device such as /dev/null
-                    written.unlink()
-            raise UsageError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from None
-    if args.out is None:
-        sys.stdout.write(b"".join(payload).decode())
+    opened = []
+    try:
+        for path, flag, chunks in outputs:
+            try:
+                with path.open("wb") as stream:
+                    opened.append(path)
+                    stream.writelines(chunks)
+            except OSError as exc:
+                raise UsageError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from None
+        if args.out is None:
+            try:
+                for chunk in payload:
+                    sys.stdout.write(chunk.decode())
+                sys.stdout.flush()
+            except OSError as exc:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise UsageError(f"stdout: {exc.strerror or exc}") from None
+    except BaseException:
+        for path in opened:
+            if path.is_file():  # never a device such as /dev/null
+                path.unlink()
+        raise
 
 
 def _flat_table(payload: dict) -> tuple[list[str], list[list]]:
@@ -157,8 +177,8 @@ def cmd_generate(args: argparse.Namespace):
         "edge_profile": asdict(chain.edge_profile()),
         "rng": GENERATOR_ALGORITHM, "seed": args.seed,
     }, allow_nan=False).partition('"edges": 0')
-    return [f'{head}"edges": '.encode(), *_edges_json_blocks(chain),
-            f"{tail}\n".encode()], ()
+    return itertools.chain([f'{head}"edges": '.encode()], _edges_json_blocks(chain),
+                           [f"{tail}\n".encode()]), ()
 
 
 def cmd_compute(args: argparse.Namespace):

@@ -41,13 +41,19 @@ EDGE_TRIPLES = list(dict.fromkeys(
 ]
 
 
+def fresh_env(**env):
+    """The environment of a fresh interpreter that imports this tree's
+    package, with the keyword arguments added."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_fresh(*args, text=True, **env):
     """Run `python *args` in a fresh interpreter that imports this tree's
     package; keyword arguments are added to its environment."""
-    env = dict(os.environ, **env)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=text,
-                          env=env, timeout=120)
+                          env=fresh_env(**env), timeout=120)
 
 
 class EnumOracle:

@@ -624,12 +624,25 @@ def test_chain_writer_matches_the_graph_at_ring_block_boundaries(n):
     assert len(blocks) == 2 + -(-n // RING_BLOCK)  # "[", the blocks, "]"
 
 
-@pytest.mark.parametrize("top", [5, 9, 10, 99, 100, 500_000])
-def test_digit_table_holds_every_id_right_aligned_behind_zero_bytes(top):
+def assert_digit_table(top):
     d = len(str(top))
     table = _digit_table(top)
     assert table.dtype == np.dtype(f"V{d}") and table.shape == (top + 1,)
     assert table.tobytes() == "".join(str(i).rjust(d, "\0") for i in range(top + 1)).encode()
+    owner = table
+    while owner.base is not None:
+        owner = owner.base
+    assert owner.nbytes == (top + 1) * d  # no row beyond top is allocated
+
+
+@pytest.mark.parametrize("top", [5, 9, 10, 99, 100, 500_000, 999_999, 10**6])
+def test_digit_table_holds_every_id_right_aligned_behind_zero_bytes(top):
+    assert_digit_table(top)
+
+
+def test_digit_table_is_exact_for_every_top_below_1200():
+    for top in range(1200):
+        assert_digit_table(top)
 
 
 @pytest.mark.parametrize("probs", [UNIFORM, (1.0, 0.0, 0.0)], ids=["uniform", "ortho"])

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -13,10 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_fresh
+from conftest import fresh_env, run_fresh
 from spirochain import (
     LinkProbabilities,
     MolecularGraph,
+    NTooLarge,
     coefficients,
     edge_profile,
     evaluate,
@@ -24,7 +27,7 @@ from spirochain import (
     links_to_string,
     registry_lookup,
 )
-from spirochain import cli, graph
+from spirochain import chain as chain_module, cli, graph
 from spirochain.chain import _BLOCK_RINGS
 from spirochain.cli import COMMANDS, main
 from spirochain.indices import REGISTRY_NAMES, VARIABLE_EXPONENT_NAMES
@@ -383,20 +386,90 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, flag):
     assert not target.parent.exists()
 
 
+def _failing_blocks(error):
+    """An edge writer that yields the opening bracket, then raises `error`."""
+    def blocks(chain):
+        yield b"["
+        raise error
+    return blocks
+
+
+def test_a_writer_failing_after_the_first_write_exits_2_and_leaves_no_out_file(
+        capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(chain_module, "_edges_json_blocks",
+                        _failing_blocks(NTooLarge("n=50 is too large for the arrays it sizes")))
+    target = tmp_path / "g.json"
+    code, out, err = run(capsys, "generate", "--n", "50", "--out", str(target))
+    assert (code, out, err) == (2, "", "error: n=50 is too large for the arrays it sizes\n")
+    assert not target.exists()
+
+
+def test_an_interrupt_while_writing_propagates_and_leaves_no_out_file(monkeypatch, tmp_path):
+    monkeypatch.setattr(chain_module, "_edges_json_blocks", _failing_blocks(KeyboardInterrupt()))
+    target = tmp_path / "g.json"
+    with pytest.raises(KeyboardInterrupt):
+        main(["generate", "--n", "50", "--out", str(target)])
+    assert not target.exists()
+
+
+def test_a_failed_open_removes_the_files_written_before_but_not_its_own(
+        capsys, monkeypatch, tmp_path):
+    samples, target = tmp_path / "s.csv", tmp_path / "kept.json"
+    target.write_text("kept")
+    real_open = Path.open
+
+    def refuse_target(path, *args, **kwargs):
+        if path == target:
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", refuse_target)
+    code, _, err = run(capsys, "simulate", "--index", "nirmala", "--n", "100", "--reps", "50",
+                       "--samples-out", str(samples), "--out", str(target))
+    assert code == 2 and f"--out: cannot write {target}: Permission denied" in err
+    assert not samples.exists()
+    monkeypatch.undo()
+    assert target.read_text() == "kept"
+
+
+ENTRY = "from spirochain.cli import entry; entry()"
+
+
 def spiro(*argv):
     """Run the `spiro` console entry point in a fresh interpreter."""
-    return run_fresh("-c", "from spirochain.cli import entry; entry()", *argv, text=False)
+    return run_fresh("-c", ENTRY, *argv, text=False)
 
 
 def test_generate_stdout_and_out_file_are_the_same_bytes(tmp_path):
-    chain = generate(10_000, LinkProbabilities.uniform(), 3)
-    assert chain.n > _BLOCK_RINGS  # more than one edge block
+    # Six edge blocks: the ids of blocks 0-3 are shorter than six digits in
+    # places, so those go through the zero-byte strip; blocks 4-5 do not.
+    chain = generate(30_000, LinkProbabilities.uniform(), 3)
+    assert -(-chain.n // _BLOCK_RINGS) == 6
     target = tmp_path / "g.json"
-    printed = spiro("generate", "--n", "10000", "--seed", "3")
-    written = spiro("generate", "--n", "10000", "--seed", "3", "--out", str(target))
+    printed = spiro("generate", "--n", "30000", "--seed", "3")
+    written = spiro("generate", "--n", "30000", "--seed", "3", "--out", str(target))
     assert (printed.returncode, printed.stderr) == (0, b""), printed.stderr
     assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
     assert printed.stdout == target.read_bytes() == generate_document(chain, 3).encode()
+    text = io.StringIO()
+    with redirect_stdout(text):
+        assert main(["generate", "--n", "30000", "--seed", "3"]) == 0
+    assert text.getvalue().encode() == printed.stdout
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["generate", "--n", "100000"], 10),  # the pipe closes while blocks are written
+    (["compare", "--n", "20"], 0),  # the whole output waits in stdout's buffer
+], ids=["generate", "compare"])
+def test_a_reader_that_closes_stdout_early_gets_exit_2_and_no_traceback(argv, read):
+    # Block-buffered stdout, as from a shell: an empty PYTHONUNBUFFERED is unset.
+    proc = subprocess.Popen([sys.executable, "-c", ENTRY, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=fresh_env(PYTHONUNBUFFERED=""))
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.startswith(b"error: stdout: ") and err.count(b"\n") == 1, err
 
 
 def test_generate_unwritable_out_exits_2_and_leaves_no_file(tmp_path):
