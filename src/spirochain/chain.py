@@ -64,26 +64,19 @@ _LAST_THRESHOLDS = (object(), None)
 _IDLE_STREAM = threading.local()
 
 
-def _ring_array(chain: SpiroChain) -> np.ndarray:
-    """The (n, 6) ring array: row j - 1 is hexagon j, the ring (s_j, f_j,
-    ..., f_j + 4) with first new id f_j = 5j - 4.  Hexagons 1 and 2 start
-    at s = 0 (for n = 1 the ring is 0..5); hexagon j >= 3 at s_j = f_{j-1}
-    + the LINK_ORDER index of link j - 2.  Ids equal those of attaching one
-    hexagon at a time."""
+def _graph(chain: SpiroChain) -> MolecularGraph:
+    """SpiroChain.graph, the validated graph: six (low, high) edge rows per
+    ring, in ring order with the closing edge last.  Row j - 1 of the (n, 6)
+    ring array is hexagon j, the ring (s_j, f_j, ..., f_j + 4) with first
+    new id f_j = 5j - 4.  Hexagons 1 and 2 start at s = 0 (for n = 1 the
+    ring is 0..5); hexagon j >= 3 at s_j = f_{j-1} + the LINK_ORDER index
+    of link j - 2.  Ids equal those of attaching one hexagon at a time."""
     with allocating(chain.n):
         rings = np.arange(0, 5 * chain.n, 5, dtype=_EDGE_DTYPE)[:, None] + _RING_IDS
         rings[1:2, 0] = 0  # s_2; row 0 already holds s_1 = 0
         indexes = np.frombuffer(chain.codes.translate(_CODE_TO_INDEX), np.uint8)
         rings[2:, 0] = rings[1:-1, 1] + indexes
-    return rings
-
-
-def _graph(chain: SpiroChain) -> MolecularGraph:
-    """SpiroChain.graph, the validated graph: six (low, high) edge rows per
-    ring, in ring order with the closing edge last."""
-    with allocating(chain.n):
-        rows = _ring_array(chain).take(_RING_EDGES, axis=1).reshape(-1, 2)
-        return MolecularGraph(5 * chain.n + 1, rows)
+        return MolecularGraph(5 * chain.n + 1, rings.take(_RING_EDGES, axis=1).reshape(-1, 2))
 
 
 def _digit_table(top: int) -> np.ndarray:
@@ -116,7 +109,7 @@ def _edges_json_blocks(chain: SpiroChain) -> Iterator[bytes]:
     Built in numpy, with no Python object per edge and no division per id:
     every id is a d-byte row of _digit_table(5n).  Ring j's new ids f_j,
     ..., f_j + 4 (f_j = 5j - 4) are its rows 1..5n, read in place; only the
-    shared vertices s_j are gathered (see _ring_array).  A block fills one
+    shared vertices s_j are gathered (see _graph).  A block fills one
     reused table of "[u, v], " records, six per ring: its JSON text once
     the zero bytes of ids shorter than d digits are deleted, which only a
     block whose first shared vertex is shorter than d digits holds.

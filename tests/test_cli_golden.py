@@ -1,8 +1,12 @@
-"""CLI outputs frozen byte for byte: exit code, stdout and every file written.
+"""CLI outputs frozen byte for byte: exit code, stdout, stderr and every file
+written.
 
 `cli_golden.json` is the one list of CLI cases.  It holds, for each command,
-its argv (output paths under a `{tmp}` placeholder), the exit code, and the
-sha256 of stdout and of each output file (null when the file must not exist).
+its argv (output paths under a `{tmp}` placeholder), the exit code, the
+sha256 of stdout, the stderr text with paths under `{tmp}`, and the sha256
+of each output file (null when the file must not exist).  Where argparse
+exits, stderr is null: its usage text varies with the Python version and
+COLUMNS, and test_cli_surface pins the parser.
 Re-record it only when an output change is intended, or to add a case (append
 `{"argv": [...]}` to the file first):
 
@@ -34,20 +38,21 @@ def _sha256(data: str) -> str:
 
 
 def _record(argv: list[str], tmp: Path) -> dict:
-    """Run one command in process; return its exit code and output hashes."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    """Run one command in process; return its exit code, stderr and output hashes."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = main([arg.replace("{tmp}", str(tmp)) for arg in argv])
-        except SystemExit as exc:
-            code = exc.code
+            err = stderr.getvalue().replace(str(tmp), "{tmp}")
+        except SystemExit as exc:  # argparse's exit: its stderr is not pinned
+            code, err = exc.code, None
     files = {}
     for flag, value in zip(argv, argv[1:]):
         if flag in _OUT_FLAGS:
             path = Path(value.replace("{tmp}", str(tmp)))
             files[value] = _sha256(path.read_text()) if path.exists() else None
     return {"argv": argv, "exit": code, "stdout": _sha256(stdout.getvalue()),
-            "files": files}
+            "stderr": err, "files": files}
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: " ".join(e["argv"]))

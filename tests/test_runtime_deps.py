@@ -78,9 +78,9 @@ def _scalar(argv):
 
 
 @pytest.mark.parametrize("refused, replays, least", [
-    ("scipy", lambda argv: True, 38),
-    ("numpy", _scalar, 10),
-    ("spirochain.chain,spirochain.graph", lambda argv: argv[0] == "distribution", 4),
+    ("scipy", lambda argv: True, 51),
+    ("numpy", _scalar, 21),
+    ("spirochain.chain,spirochain.graph", lambda argv: argv[0] == "distribution", 6),
 ], ids=["scipy", "numpy", "chain-and-graph"])
 def test_golden_entries_replay_under_import_refusals(refused, replays, least):
     cases = [entry for entry in ENTRIES if replays(entry["argv"])]
