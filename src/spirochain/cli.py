@@ -231,6 +231,7 @@ def cmd_distribution(args: argparse.Namespace):
 
 def cmd_simulate(args: argparse.Namespace):
     from . import montecarlo
+    require_n(args.reps, minimum=1, name="--reps")
     require_n(args.bins, minimum=1, name="--bins")
     normality = None
     if args.standardize:

@@ -78,8 +78,8 @@ def _scalar(argv):
 
 
 @pytest.mark.parametrize("refused, replays, least", [
-    ("scipy", lambda argv: True, 51),
-    ("numpy", _scalar, 21),
+    ("scipy", lambda argv: True, 52),
+    ("numpy", _scalar, 22),
     ("spirochain.chain,spirochain.graph", lambda argv: argv[0] == "distribution", 6),
 ], ids=["scipy", "numpy", "chain-and-graph"])
 def test_golden_entries_replay_under_import_refusals(refused, replays, least):
