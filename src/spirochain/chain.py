@@ -5,10 +5,12 @@ profiles are the scalar model (`_model`); this module re-exports them.
 Every ring is listed from its shared vertex, so each shared vertex has a
 closed form in the link offsets, and one builder computes all rings at
 once.  The chain writes its edge list's JSON text itself, each ring's six
-rows in (low, high) order: it reads every id's text from one digit table
-and gathers only the shared vertices.  The validated graph, built from the
-ring array only when `graph` is first read, shares no code with the writer
-and is its oracle.
+rows in (low, high) order, block by block: it copies a block's id text
+from one fixed table of low digits and gathers only the shared vertices.
+Like `generate`, which draws the links block by block too, it holds
+nothing that grows with n but the link codes.  The validated graph, built
+from the ring array only when `graph` is first read, shares no code with
+the writer and is its oracle.
 
 Reproducibility contract: random growth uses a Philox (4x64, 10 rounds)
 counter-based generator keyed directly by the 64-bit seed, and link types
@@ -56,6 +58,13 @@ _CODE_TABLE = np.frombuffer(_CODES, np.uint8)
 # 108 B, ~590 KB at six-digit ids) stays in L2 while its fields are filled.
 _BLOCK_RINGS = 5461
 
+# Links per draw_link_indexes call of generate: a block's words and link
+# indexes (16 B a link) stay in cache, and only the codes are held whole.
+_DRAW_BLOCK = 1 << 16
+
+# The edge writer's ids: their low five digits behind id // _LOW's digits.
+_LOW = 10**5
+
 # _word_thresholds' last triple and its result; the sentinel is no triple.
 _LAST_THRESHOLDS = (object(), None)
 
@@ -79,65 +88,81 @@ def _graph(chain: SpiroChain) -> MolecularGraph:
         return MolecularGraph(5 * chain.n + 1, rings.take(_RING_EDGES, axis=1).reshape(-1, 2))
 
 
-def _digit_table(top: int) -> np.ndarray:
-    """Every id 0, 1, ..., top as a d-byte void, d the digits of top: its
-    ASCII digits right-aligned behind zero bytes, in exactly top + 1 rows.
-    Digit k of 0, 1, 2, ... is the run "0".."9", each digit repeated 10**k
-    times, tiled; so each digit column of the first 10**(d - 1) ids is one
-    strided broadcast, with no division, and every further leading digit
-    is a copy of those rows."""
+def _digit_table(top: int, width: int = 0) -> np.ndarray:
+    """Every id 0, 1, ..., top as a w-byte void, w the larger of width and
+    d, the digits of top: its ASCII digits right-aligned behind zero bytes,
+    in exactly top + 1 rows.  Digit k of 0, 1, 2, ... is the run "0".."9",
+    each digit repeated 10**k times, tiled; so each digit column of the
+    first 10**(d - 1) ids is one strided broadcast, with no division, and
+    every further leading digit is a copy of those rows."""
     d, digits = len(str(top)), np.frombuffer(b"0123456789", np.uint8)
-    low = 10 ** (d - 1)
-    table = np.empty((top + 1, d), np.uint8)
+    w, low = max(width, d), 10 ** (d - 1)
+    table = np.zeros((top + 1, w), np.uint8)
     for k in range(d):  # ids below `low`, written with d digits
         run = 10**k
         tiles = min(10, low // run)
-        table[:low].reshape(-1, tiles, run, d)[..., d - 1 - k] = digits[:tiles, None]
+        table[:low].reshape(-1, tiles, run, w)[..., w - 1 - k] = digits[:tiles, None]
     for lead in range(1, top // low + 1):
         rows = table[lead * low : (lead + 1) * low]
         rows[:] = table[: len(rows)]
-        rows[:, 0] = digits[lead]
+        rows[:, w - d] = digits[lead]
     for k in range(1, d):
-        table[: 10**k, d - 1 - k] = 0  # ids below 10**k have no digit k
-    return table.reshape(-1).view(f"V{d}")
+        table[: 10**k, w - 1 - k] = 0  # ids below 10**k have no digit k
+    return table.reshape(-1).view(f"V{w}")
 
 
 def _edges_json_blocks(chain: SpiroChain) -> Iterator[bytes]:
     """The JSON text of chain.graph.edges as ASCII byte chunks, in order,
-    written _BLOCK_RINGS rings at a time; builds no graph.
+    written _BLOCK_RINGS rings at a time; builds no graph, and holds
+    nothing beyond one block but chain.codes.
 
     Built in numpy, with no Python object per edge and no division per id:
-    every id is a d-byte row of _digit_table(5n).  Ring j's new ids f_j,
-    ..., f_j + 4 (f_j = 5j - 4) are its rows 1..5n, read in place; only the
-    shared vertices s_j are gathered (see _graph).  A block fills one
-    reused table of "[u, v], " records, six per ring: its JSON text once
-    the zero bytes of ids shorter than d digits are deleted, which only a
-    block whose first shared vertex is shorter than d digits holds.
+    rings i..end - 1 use the ids lo = 5i - 4 (or 0) to 5 * end, fewer than
+    _LOW, so at most two values of id // _LOW.  Their d-byte rows are copied
+    from one fixed table, the ids below 2 * _LOW (or 10**d); an id of
+    leading value 2 or more reads the row of leading value 1, and its own
+    leading digits are written over.  Ring j's new ids f_j, ..., f_j + 4
+    (f_j = 5j - 4) are read in place; only the shared vertices s_j are
+    gathered (see _graph).  A block fills one reused table of "[u, v], "
+    records, six per ring: its JSON text once the zero bytes of ids shorter
+    than d digits are deleted, which only a block whose first shared
+    vertex is shorter than d digits holds.
     """
-    n, top = chain.n, 5 * chain.n
-    d = len(str(top))
-    with allocating(n):
-        digits = _digit_table(top)
-        new = digits[1:].reshape(n, 5)
-        shared = np.arange(-4, top - 4, 5)  # 5j - 9 for ring j
-        shared[:2] = 0
-        shared[2:] += np.frombuffer(chain.codes.translate(_CODE_TO_INDEX), np.uint8)
-        shared_digits = digits[shared]
-        layout = np.frombuffer((b"[" + bytes(d) + b", " + bytes(d) + b"], ") * 6, np.uint8)
-        buffer = np.tile(layout, (min(n, _BLOCK_RINGS), 1))  # blocks rewrite only the ids
-        table = buffer.view(np.dtype({"names": ["u", "v"], "formats": [f"V{d}"] * 2,
-                                      "offsets": [1, d + 3], "itemsize": 2 * d + 6}))
+    n, d = chain.n, len(str(5 * chain.n))
+    fixed = _digit_table(min(10**d, 2 * _LOW) - 1, d).view(np.uint8).reshape(-1, d)
+    digits = np.empty((5 * min(n, _BLOCK_RINGS) + 5, d), np.uint8)  # one block's ids
+    ids = digits.view(f"V{d}")[:, 0]
+    layout = np.frombuffer((b"[" + bytes(d) + b", " + bytes(d) + b"], ") * 6, np.uint8)
+    buffer = np.tile(layout, (min(n, _BLOCK_RINGS), 1))  # blocks rewrite only the ids
+    table = buffer.view(np.dtype({"names": ["u", "v"], "formats": [f"V{d}"] * 2,
+                                  "offsets": [1, d + 3], "itemsize": 2 * d + 6}))
     yield b"["
     for i in range(0, n, _BLOCK_RINGS):
         end = min(i + _BLOCK_RINGS, n)
+        shared = np.arange(5 * i - 4, 5 * end - 4, 5)  # 5j - 9 for ring j
+        first = max(2 - i, 0)  # rings 1 and 2 have s = 0
+        shared[:first] = 0
+        links = chain.codes[i + first - 2 : end - 2].translate(_CODE_TO_INDEX)
+        shared[first:] += np.frombuffer(links, np.uint8)
+        lo = max(5 * i - 4, 0)
+        for lead in range(lo // _LOW, 5 * end // _LOW + 1):
+            start, stop = max(lo, lead * _LOW), min(5 * end + 1, (lead + 1) * _LOW)
+            part = digits[start - lo : stop - lo]
+            shift = max(lead - 1, 0) * _LOW  # read lead >= 1 as 1, then write its digits
+            part[:] = fixed[start - shift : stop - shift]
+            if lead > 1:
+                head = str(lead).encode()
+                for column, digit in enumerate(head, d - 5 - len(head)):
+                    part[:, column] = digit
+        new = ids[5 * i + 1 - lo : 5 * end + 1 - lo].reshape(-1, 5)
         rows = table[: end - i]
         u, v = rows["u"], rows["v"]  # (rings, 6): the path s, f, ..., f + 4, then (s, f + 4)
-        u[:, 0] = u[:, 5] = shared_digits[i:end]
-        u[:, 1:5] = new[i:end, :4]
-        v[:, :5] = new[i:end]
-        v[:, 5] = new[i:end, 4]
+        u[:, 0] = u[:, 5] = ids[shared - lo]
+        u[:, 1:5] = new[:, :4]
+        v[:, :5] = new
+        v[:, 5] = new[:, 4]
         text = rows.tobytes()
-        if shared[i] < 10 ** (d - 1):
+        if shared[0] < 10 ** (d - 1):
             text = text.translate(None, b"\0")
         yield text if end < n else text[:-2]  # no ", " after the last row
     yield b"]"
@@ -232,12 +257,22 @@ def generate(n: int, probs: LinkProbabilities, seed: int) -> SpiroChain:
 
     Identical (n, probs, seed) always yield the identical link sequence and
     graph, bit for bit: the draws are those of rng_from_seed(seed), taken
-    from a Philox that each thread builds once and rekeys per call.
+    from a Philox that each thread builds once and rekeys per call, in
+    blocks of _DRAW_BLOCK links: one draw_link_indexes call over all n - 2
+    gives the same.  Only the codes grow with n.
     """
     steps = require_n(n) - 2
     with _held_stream() as stream, allocating(n):
-        indexes = draw_link_indexes(stream.keyed(seed), steps, probs)
-        return SpiroChain(steps + 2, _CODE_TABLE[indexes].tobytes())
+        rng = stream.keyed(seed)
+        if steps <= _DRAW_BLOCK:  # the loop's one call, without its buffer's ~1 us
+            indexes = draw_link_indexes(rng, steps, probs)
+            return SpiroChain(steps + 2, _CODE_TABLE[indexes].tobytes())
+        _word_thresholds(probs)  # bad probabilities are reported before the codes are sized
+        codes = np.empty(steps, np.uint8)  # before any draw: a too-large n fails at once
+        for i in range(0, steps, _DRAW_BLOCK):
+            indexes = draw_link_indexes(rng, min(steps - i, _DRAW_BLOCK), probs)
+            codes[i : i + _DRAW_BLOCK] = _CODE_TABLE[indexes]
+        return SpiroChain(steps + 2, codes.tobytes())
 
 
 def enumerate_all(

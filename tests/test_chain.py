@@ -41,7 +41,7 @@ from spirochain import (
     vertex_profile,
 )
 from spirochain.chain import (
-    _BLOCK_RINGS, _digit_table, _edges_json_blocks, _held_stream, allocating,
+    _BLOCK_RINGS, _DRAW_BLOCK, _digit_table, _edges_json_blocks, _held_stream, allocating,
 )
 
 UNIFORM = LinkProbabilities.uniform()
@@ -427,6 +427,13 @@ def _serial_codes(n, probs, seed):
     return bytes(b"OMP"[i] for i in indexes.tolist())
 
 
+@pytest.mark.parametrize(
+    "steps", [_DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 1])
+def test_generate_draws_in_blocks_the_links_of_one_call(steps):
+    probs = LinkProbabilities(0.3, 0.45, 0.25)
+    assert generate(steps + 2, probs, steps).codes == _serial_codes(steps + 2, probs, steps)
+
+
 def test_generate_builds_one_philox_per_thread(philox_builds):
     generate(30, UNIFORM, 0)  # warm-up: this thread builds its Philox if it has none
     philox_builds.clear()
@@ -574,9 +581,10 @@ def test_chain_codes_must_be_bytes(codes):
 
 def test_generate_checks_probabilities_before_sizing_arrays():
     # a ValueError raised while sizing the arrays would read as NTooLarge
-    with pytest.raises(InvalidProbabilities, match="p_ortho=array") as info:
-        generate(5, (np.array([0.5, 0.5]), 0.25, 0.25), 0)
-    assert not isinstance(info.value, NTooLarge)
+    for n in (5, 10**400):  # drawn in one call, and in blocks into codes sized first
+        with pytest.raises(InvalidProbabilities, match="p_ortho=array") as info:
+            generate(n, (np.array([0.5, 0.5]), 0.25, 0.25), 0)
+        assert not isinstance(info.value, NTooLarge)
 
 
 def test_answers_from_the_links_build_no_graph():
@@ -624,9 +632,22 @@ def test_chain_writer_matches_the_graph_at_ring_block_boundaries(n):
     assert len(blocks) == 2 + -(-n // RING_BLOCK)  # "[", the blocks, "]"
 
 
-def assert_digit_table(top):
-    d = len(str(top))
-    table = _digit_table(top)
+def test_chain_writer_matches_the_graph_where_ids_cross_a_million():
+    # 5n = 1,000,005, so ids have up to seven digits, and every block strips
+    # zero bytes (its first shared vertex is below 10**6).  Block 3 (ids
+    # 81,916..109,225) straddles 10**5, block 18 (491,486..518,795) 5 * 10**5,
+    # and block 36, the last, 10**6.
+    chain = generate(200_001, UNIFORM, 3)
+    blocks = list(_edges_json_blocks(chain))[1:-1]
+    assert len(blocks) == 37
+    for k in (0, 3, 18, 36):
+        rows = chain.graph.edges[6 * k * RING_BLOCK : 6 * (k + 1) * RING_BLOCK]
+        assert blocks[k] == (json.dumps(rows.tolist())[1:-1] + ", " * (k < 36)).encode()
+
+
+def assert_digit_table(top, width=0):
+    d = max(width, len(str(top)))
+    table = _digit_table(top, width)
     assert table.dtype == np.dtype(f"V{d}") and table.shape == (top + 1,)
     assert table.tobytes() == "".join(str(i).rjust(d, "\0") for i in range(top + 1)).encode()
     owner = table
@@ -635,9 +656,13 @@ def assert_digit_table(top):
     assert owner.nbytes == (top + 1) * d  # no row beyond top is allocated
 
 
-@pytest.mark.parametrize("top", [5, 9, 10, 99, 100, 500_000, 999_999, 10**6])
-def test_digit_table_holds_every_id_right_aligned_behind_zero_bytes(top):
-    assert_digit_table(top)
+# A width, as in the edge writer's fixed table, puts zero-byte columns in front.
+@pytest.mark.parametrize("top, width", [
+    *(pytest.param(t, 0, id=str(t)) for t in (5, 9, 10, 99, 100, 500_000, 999_999, 10**6)),
+    *(pytest.param(t, w, id=f"{t}-width-{w}") for t, w in ((9, 3), (100, 4), (199_999, 8))),
+])
+def test_digit_table_holds_every_id_right_aligned_behind_zero_bytes(top, width):
+    assert_digit_table(top, width)
 
 
 def test_digit_table_is_exact_for_every_top_below_1200():
