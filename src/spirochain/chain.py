@@ -88,27 +88,28 @@ def _graph(chain: SpiroChain) -> MolecularGraph:
         return MolecularGraph(5 * chain.n + 1, rings.take(_RING_EDGES, axis=1).reshape(-1, 2))
 
 
-def _digit_table(top: int, width: int = 0) -> np.ndarray:
-    """Every id 0, 1, ..., top as a w-byte void, w the larger of width and
-    d, the digits of top: its ASCII digits right-aligned behind zero bytes,
-    in exactly top + 1 rows.  Digit k of 0, 1, 2, ... is the run "0".."9",
-    each digit repeated 10**k times, tiled; so each digit column of the
-    first 10**(d - 1) ids is one strided broadcast, with no division, and
-    every further leading digit is a copy of those rows."""
-    d, digits = len(str(top)), np.frombuffer(b"0123456789", np.uint8)
-    w, low = max(width, d), 10 ** (d - 1)
-    table = np.zeros((top + 1, w), np.uint8)
-    for k in range(d):  # ids below `low`, written with d digits
+def _digit_table(d: int) -> np.ndarray:
+    """The edge writer's fixed table: the ids 0, 1, ..., top = min(10**d,
+    2 * _LOW) - 1 as top + 1 rows of d bytes, ASCII digits right-aligned
+    behind zero bytes.  Digit k of 0, 1, 2, ... is the run "0".."9", each
+    digit repeated 10**k times, tiled; so each digit column of the ids
+    below 10**(e - 1) (top has e digits) is one strided broadcast, with no
+    division, and every further leading digit is a copy of those rows."""
+    top, digits = min(10**d, 2 * _LOW) - 1, np.frombuffer(b"0123456789", np.uint8)
+    e = len(str(top))
+    low = 10 ** (e - 1)
+    table = np.zeros((top + 1, d), np.uint8)
+    for k in range(e):  # ids below `low`, written with e digits
         run = 10**k
         tiles = min(10, low // run)
-        table[:low].reshape(-1, tiles, run, w)[..., w - 1 - k] = digits[:tiles, None]
+        table[:low].reshape(-1, tiles, run, d)[..., d - 1 - k] = digits[:tiles, None]
     for lead in range(1, top // low + 1):
         rows = table[lead * low : (lead + 1) * low]
         rows[:] = table[: len(rows)]
-        rows[:, w - d] = digits[lead]
-    for k in range(1, d):
-        table[: 10**k, w - 1 - k] = 0  # ids below 10**k have no digit k
-    return table.reshape(-1).view(f"V{w}")
+        rows[:, d - e] = digits[lead]
+    for k in range(1, e):
+        table[: 10**k, d - 1 - k] = 0  # ids below 10**k have no digit k
+    return table
 
 
 def _edges_json_blocks(chain: SpiroChain) -> Iterator[bytes]:
@@ -129,7 +130,7 @@ def _edges_json_blocks(chain: SpiroChain) -> Iterator[bytes]:
     vertex is shorter than d digits holds.
     """
     n, d = chain.n, len(str(5 * chain.n))
-    fixed = _digit_table(min(10**d, 2 * _LOW) - 1, d).view(np.uint8).reshape(-1, d)
+    fixed = _digit_table(d)
     digits = np.empty((5 * min(n, _BLOCK_RINGS) + 5, d), np.uint8)  # one block's ids
     ids = digits.view(f"V{d}")[:, 0]
     layout = np.frombuffer((b"[" + bytes(d) + b", " + bytes(d) + b"], ") * 6, np.uint8)

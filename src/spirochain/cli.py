@@ -3,11 +3,11 @@ simulate and compare, all with machine-readable output.
 
 `COMMANDS` is the one table of subcommands: for each, its help, its own
 flags, its default format, the function that turns its payload into a CSV
-table (None where it writes JSON only) and its handler.  `build_parser`
-loops over that table.  After parsing, `_resolve` checks the shared inputs
-once, in one order: --index and --a, then --n, then the probabilities.
-Handlers only build a payload, and `_emit` renders and writes every output;
-`generate`'s edge blocks are rendered while they are written.
+table (None where it renders no CSV or its own) and its handler.
+`build_parser` loops over that table.  After parsing, `_resolve` checks the
+shared inputs once, in one order: --index and --a, then --n, then the
+probabilities.  Handlers build a payload or its byte chunks (`generate`,
+`distribution`'s CSV), and `_emit` writes every output as it comes.
 
 Only the scalar model and the index registry load up front, so `analyze`,
 `compare` and `compute --links` run without numpy.
@@ -19,6 +19,7 @@ standardized view of a deterministic index was requested), 4 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -96,44 +97,40 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _emit(args: argparse.Namespace, payload, files) -> None:
     """Write each (path, flag, render) file whose path was given, then the
-    payload (a dict, or JSON as an iterable of byte chunks) in the chosen
-    format to --out or stdout.  Chunks are written as they come, so an
-    error can arise after the first write: any exception removes the
-    regular files this call opened (never one whose open failed), so a
-    failed call leaves no partial file, though stdout may hold a prefix.
-    An OSError becomes a UsageError naming the output; an unwritable
-    stdout (a reader that has gone) also points stdout at os.devnull, so
-    that nothing fails again at exit."""
+    payload (a dict, or an iterable of byte chunks) in the chosen format to
+    --out, or to stdout where --out is absent.  Chunks are written as they
+    come, so an error can arise after the first write: any exception
+    removes the regular files this call opened (never one whose open
+    failed), so a failed call leaves no partial file, though stdout may
+    hold a prefix.  An OSError becomes a UsageError naming the output; an
+    unwritable stdout (a reader that has gone) also points stdout at
+    os.devnull, so that nothing fails again at exit."""
     if isinstance(payload, dict):
         text = (json.dumps(payload, indent=2, allow_nan=False) + "\n" if args.format == "json"
                 else _csv_text(*args.to_csv(payload)))
         payload = [text.encode()]
     outputs = [(path, flag, [render().encode()])
                for path, flag, render in files if path is not None]
-    if args.out is not None:
-        outputs.append((args.out, "--out", payload))
+    outputs.append((args.out, "--out", payload))
     opened = []
     try:
         for path, flag, chunks in outputs:
             try:
-                with path.open("wb") as stream:
+                stdout = path is None  # a text stream, maybe with no byte buffer
+                with contextlib.nullcontext(sys.stdout) if stdout else path.open("wb") as stream:
                     opened.append(path)
-                    stream.writelines(chunks)
+                    stream.writelines(map(bytes.decode, chunks) if stdout else chunks)
+                    stream.flush()
             except OSError as exc:
+                if stdout:
+                    devnull = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(devnull, sys.stdout.fileno())
+                    os.close(devnull)
+                    raise UsageError(f"stdout: {exc.strerror or exc}") from None
                 raise UsageError(f"{flag}: cannot write {path}: {exc.strerror or exc}") from None
-        if args.out is None:
-            try:
-                for chunk in payload:
-                    sys.stdout.write(chunk.decode())
-                sys.stdout.flush()
-            except OSError as exc:
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
-                raise UsageError(f"stdout: {exc.strerror or exc}") from None
     except BaseException:
         for path in opened:
-            if path.is_file():  # never a device such as /dev/null
+            if path and path.is_file():  # never stdout, or a device such as /dev/null
                 path.unlink()
         raise
 
@@ -147,10 +144,6 @@ def _flat_table(payload: dict) -> tuple[list[str], list[list]]:
         else:
             rows.append([key, value])
     return ["key", "value"], rows
-
-
-def _rows_table(payload: dict) -> tuple[list[str], list[list]]:
-    return list(payload["rows"][0]), [list(row.values()) for row in payload["rows"]]
 
 
 def _compare_table(payload: dict) -> tuple[list[str], list[list]]:
@@ -223,10 +216,10 @@ def cmd_distribution(args: argparse.Namespace):
     from .analytics import exact_distribution
     dist = exact_distribution(args.spec, args.n, args.probs)
     ks = [None] * dist.pmf.size if dist.ortho_counts is None else dist.ortho_counts.tolist()
-    return {"rows": [
-        {"k": k, "value": v, "probability": p}
-        for k, v, p in zip(ks, dist.support.tolist(), dist.pmf.tolist())
-    ]}, ()
+    rows = zip(ks, dist.support.tolist(), dist.pmf.tolist())
+    if args.format == "json":
+        return {"rows": [{"k": k, "value": v, "probability": p} for k, v, p in rows]}, ()
+    return [_csv_text(["k", "value", "probability"], list(rows)).encode()], ()
 
 
 def cmd_simulate(args: argparse.Namespace):
@@ -295,7 +288,7 @@ _PROB_FLAGS = (
 )
 
 # name: (help, flags before the probability flags, default format,
-#        payload -> CSV (header, rows) or None for JSON only, handler)
+#        payload -> CSV (header, rows) or None, handler)
 COMMANDS = {
     "generate": (
         "grow one random chain and emit it as JSON",
@@ -315,7 +308,7 @@ COMMANDS = {
     "analyze": ("closed-form constants and moments", (*_INDEX_FLAGS, _N),
                 "json", _flat_table, cmd_analyze),
     "distribution": ("exact value distribution", (*_INDEX_FLAGS, _N),
-                     "csv", _rows_table, cmd_distribution),
+                     "csv", None, cmd_distribution),
     "simulate": (
         "Monte Carlo study of an index",
         (*_INDEX_FLAGS, _N, _SEED,
@@ -349,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, options in (*flags, *_PROB_FLAGS):
             p.add_argument(flag, **options)
         p.add_argument("--out", type=Path, help="output file (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv") if to_csv else ("json",),
+        csv = to_csv or default_format == "csv"  # distribution renders its own
+        p.add_argument("--format", choices=("json", "csv") if csv else ("json",),
                        default=default_format,
                        help=f"output format (default: {default_format})")
         p.set_defaults(handler=handler, to_csv=to_csv)
@@ -362,12 +356,9 @@ def main(argv: list[str] | None = None) -> int:
         _resolve(args)
         _emit(args, *args.handler(args))
         return EXIT_OK
-    except DegenerateVariance as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (UsageError, SpiroChainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (UsageError, SpiroChainError) as exc:  # `reps=...` too large reads `--reps=...`
+        print("error:", re.sub(r"^(?=(?:n|reps|bins)=)", "--", str(exc)), file=sys.stderr)
+        return EXIT_DEGENERATE if isinstance(exc, DegenerateVariance) else EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

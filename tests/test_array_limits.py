@@ -1,4 +1,5 @@
-"""n too large for the arrays it sizes raises NTooLarge, and the CLI exits 2.
+"""n too large for the arrays it sizes raises NTooLarge, and the CLI exits 2
+with an error that names the count by its flag.
 
 At n = 10**400 numpy refuses the array size before allocating anything.  At
 n = 10**12 the arrays would take terabytes; those cases run in a child
@@ -56,17 +57,18 @@ def test_other_counts_too_large_are_named():
             histogram([0.0, 1.0], bins)
 
 
-@pytest.mark.parametrize("argv", [
-    ["distribution", "--index", "randic"],
-    ["simulate", "--index", "randic", "--reps", "2"],
-    ["compute", "--index", "randic"],
-    ["generate"],
+@pytest.mark.parametrize("argv, flag", [
+    (["distribution", "--index", "randic"], "--n"),
+    (["simulate", "--index", "randic", "--reps", "2"], "--n"),
+    (["compute", "--index", "randic"], "--n"),
+    (["generate"], "--n"),
+    (["simulate", "--index", "randic", "--n", "10"], "--reps"),
 ])
-def test_cli_beyond_numpy_limits_exits_2(capsys, argv):
-    code = main([*argv, "--n", str(HUGE)])
+def test_cli_beyond_numpy_limits_exits_2(capsys, argv, flag):
+    code = main([*argv, flag, str(HUGE)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert "is too large" in captured.err
+    assert captured.err.startswith(f"error: {flag}={HUGE} is too large")
 
 
 CHILD = """
@@ -88,7 +90,7 @@ sys.exit(main(sys.argv[1:]))
 def test_cli_beyond_memory_exits_2(argv):
     proc = run_fresh("-c", CHILD, *argv, "--n", str(10**12), OPENBLAS_NUM_THREADS="1")
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
-    assert "n=1000000000000 is too large" in proc.stderr
+    assert proc.stderr.startswith("error: --n=1000000000000 is too large"), proc.stderr
 
 
 def test_cli_histogram_beyond_numpy_limits_exits_2(capsys, tmp_path):
@@ -98,7 +100,8 @@ def test_cli_histogram_beyond_numpy_limits_exits_2(capsys, tmp_path):
                      "--bins", str(bins), "--histogram-out", str(path)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert f"bins={bins}" in captured.err and not path.exists()
+        assert captured.err.startswith(f"error: --bins={bins} is too large")
+        assert not path.exists()
 
 
 WRITER_CHILD = """

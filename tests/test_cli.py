@@ -18,7 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fresh_env, run_fresh
-from spirochain import LinkProbabilities, MolecularGraph, NTooLarge, generate
+from spirochain import (
+    LinkProbabilities, MolecularGraph, NTooLarge, exact_distribution, generate, registry_lookup,
+)
 from spirochain import chain as chain_module, cli, graph
 from spirochain.chain import _BLOCK_RINGS
 from spirochain.cli import COMMANDS, main
@@ -78,6 +80,32 @@ def test_distribution_with_coincident_support_points(capsys):
     assert math.isclose(sum(float(row[2]) for row in rows), 1.0, abs_tol=1e-12)
 
 
+def row_dict_text(dist, fmt):
+    """A law's rows rendered the way the CLI once did: one dict per row,
+    then json.dumps, or each dict's values joined as a CSV line."""
+    ks = [None] * dist.pmf.size if dist.ortho_counts is None else dist.ortho_counts.tolist()
+    rows = [{"k": k, "value": v, "probability": p}
+            for k, v, p in zip(ks, dist.support.tolist(), dist.pmf.tolist())]
+    if fmt == "json":
+        return json.dumps({"rows": rows}, indent=2, allow_nan=False) + "\n"
+    table = [list(rows[0]), *(list(row.values()) for row in rows)]
+    return "".join(",".join("" if x is None else str(x) for x in row) + "\n" for row in table)
+
+
+# Above the golden file's sizes: randic's support is unmerged (B < 0), and
+# variable-sum-connectivity at a = 1e-10 merges it, leaving k empty.
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name, a", [("randic", None), ("variable-sum-connectivity", 1e-10)],
+                         ids=["randic", "merged"])
+def test_long_distribution_writes_the_row_dict_text(capsys, name, a, fmt):
+    a_flag = [] if a is None else ["--a", str(a)]
+    dist = exact_distribution(registry_lookup(name, a), 20_000, LinkProbabilities.uniform())
+    assert (dist.ortho_counts is None) == (a is not None)
+    code, out, err = run(capsys, "distribution", "--index", name, *a_flag,
+                         "--n", "20000", "--format", fmt)
+    assert (code, err) == (0, "") and out == row_dict_text(dist, fmt)
+
+
 @pytest.mark.parametrize("value", ["-1e-3", "-1E+2", "-.5e1", "-0.001"])
 def test_a_negative_number_reads_the_same_after_a_space_or_an_equals_sign(capsys, value):
     analyze = ("analyze", "--index", "variable-first-zagreb", "--n", "10")
@@ -131,7 +159,7 @@ def test_a_writer_failing_after_the_first_write_exits_2_and_leaves_no_out_file(
                         _failing_blocks(NTooLarge("n=50 is too large for the arrays it sizes")))
     target = tmp_path / "g.json"
     code, out, err = run(capsys, "generate", "--n", "50", "--out", str(target))
-    assert (code, out, err) == (2, "", "error: n=50 is too large for the arrays it sizes\n")
+    assert (code, out, err) == (2, "", "error: --n=50 is too large for the arrays it sizes\n")
     assert not target.exists()
 
 
