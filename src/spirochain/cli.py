@@ -7,7 +7,7 @@ table (None where it renders no CSV or its own) and its handler.
 `build_parser` loops over that table.  After parsing, `_resolve` checks the
 shared inputs once, in one order: --index and --a, then --n, then the
 probabilities.  Handlers build a payload or its byte chunks (`generate`,
-`distribution`'s CSV), and `_emit` writes every output as it comes.
+`distribution`), and `_emit` writes every output as it comes.
 
 Only the scalar model and the index registry load up front, so `analyze`,
 `compare` and `compute --links` run without numpy.
@@ -91,8 +91,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     if any(isinstance(x, float) and not math.isfinite(x) for row in rows for x in row):
         raise ValueError("a non-finite value reached the CSV output")
     # No field holds a comma, a quote or a newline, so none needs quoting.
-    return "".join([",".join(["" if x is None else str(x) for x in row]) + "\n"
-                    for row in (header, *rows)])
+    return "".join([",".join(map(str, row)) + "\n" for row in (header, *rows)])
 
 
 def _emit(args: argparse.Namespace, payload, files) -> None:
@@ -212,14 +211,24 @@ def cmd_analyze(args: argparse.Namespace):
     }, ()
 
 
+# Each format's layout of distribution's rows: the text before them, one row
+# of (k, value, probability), the text between rows and after them, and the
+# spelling of a merged k.  Floats print as repr, as json.dumps(indent=2) and
+# str print them; the law refuses non-finite values, so no row can hold one.
+_DISTRIBUTION_LAYOUTS = {
+    "csv": ("k,value,probability\n", "{},{!r},{!r}", "\n", "\n", ""),
+    "json": ('{\n  "rows": [\n', '    {{\n      "k": {},\n      "value": {!r},\n'
+             '      "probability": {!r}\n    }}', ",\n", "\n  ]\n}\n", "null"),
+}
+
+
 def cmd_distribution(args: argparse.Namespace):
     from .analytics import exact_distribution
     dist = exact_distribution(args.spec, args.n, args.probs)
-    ks = [None] * dist.pmf.size if dist.ortho_counts is None else dist.ortho_counts.tolist()
-    rows = zip(ks, dist.support.tolist(), dist.pmf.tolist())
-    if args.format == "json":
-        return {"rows": [{"k": k, "value": v, "probability": p} for k, v, p in rows]}, ()
-    return [_csv_text(["k", "value", "probability"], list(rows)).encode()], ()
+    before, row, between, after, merged = _DISTRIBUTION_LAYOUTS[args.format]
+    ks = itertools.repeat(merged) if dist.ortho_counts is None else dist.ortho_counts.tolist()
+    rows = between.join(map(row.format, ks, dist.support.tolist(), dist.pmf.tolist()))
+    return [f"{before}{rows}{after}".encode()], ()
 
 
 def cmd_simulate(args: argparse.Namespace):

@@ -254,21 +254,22 @@ def test_exact_distribution_merges_coincident_support_points():
 
 
 def test_distribution_validation():
-    with pytest.raises(ValueError):
-        DiscreteDistribution(np.array([1.0, 2.0]), np.array([0.7, 0.7]))
-    with pytest.raises(ValueError):
-        DiscreteDistribution(np.array([2.0, 1.0]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        DiscreteDistribution(np.array([1.0, 2.0]), np.array([1.5, -0.5]))
-    for support, pmf in (
-        ([1.0, math.nan], [0.5, 0.5]),
-        ([math.nan, 1.0], [0.5, 0.5]),
-        ([1.0, 2.0], [math.nan, 1.0]),
-        ([1.0, 2.0], [math.inf, 0.5]),
-        ([1.0, math.inf], [0.5, 0.5]),
-        ([-math.inf, 1.0], [0.5, 0.5]),
+    # Each refusal names its own check: the CLI prints support and pmf with
+    # no finiteness check of its own, so these are the only ones.
+    for support, pmf, match in (
+        ([1.0, 2.0], [0.7, 0.7], "sum to"),
+        ([2.0, 1.0], [0.5, 0.5], "strictly increasing"),
+        ([1.0, 2.0], [1.5, -0.5], "non-negative"),
+        ([1.0, math.nan], [0.5, 0.5], "strictly increasing"),
+        ([math.nan, 1.0], [0.5, 0.5], "strictly increasing"),
+        ([1.0, 2.0], [math.nan, 1.0], "non-negative"),
+        ([1.0, 2.0], [0.5, math.nan], "non-negative"),
+        ([1.0, 2.0], [math.inf, 0.5], "sum to"),
+        ([1.0, math.inf], [0.5, 0.5], "must be finite"),
+        ([-math.inf, 1.0], [0.5, 0.5], "must be finite"),
+        ([math.inf], [1.0], "must be finite"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             DiscreteDistribution(np.array(support), np.array(pmf))
     with pytest.raises(ValueError, match="matching 1-d arrays"):
         DiscreteDistribution([1.0, 2.0], [1.0])

@@ -2,7 +2,6 @@
 express: patched failures, fresh processes and closed pipes, argvs that must
 give the same output, a distribution too long to pin, and generated argvs."""
 
-import csv
 import io
 import json
 import math
@@ -68,18 +67,6 @@ def test_ortho_shorthand_matches_explicit_triple(capsys):
     assert json.loads(shorthand) == json.loads(explicit)
 
 
-def test_distribution_with_coincident_support_points(capsys):
-    code, out, _ = run(
-        capsys, "distribution", "--index", "variable-sum-connectivity",
-        "--a", "1e-10", "--n", "20000",
-    )
-    assert code == 0
-    rows = list(csv.reader(out.splitlines()))[1:]
-    assert 1 < len(rows) < 19999
-    assert all(row[0] == "" for row in rows)
-    assert math.isclose(sum(float(row[2]) for row in rows), 1.0, abs_tol=1e-12)
-
-
 def row_dict_text(dist, fmt):
     """A law's rows rendered the way the CLI once did: one dict per row,
     then json.dumps, or each dict's values joined as a CSV line."""
@@ -92,18 +79,26 @@ def row_dict_text(dist, fmt):
     return "".join(",".join("" if x is None else str(x) for x in row) + "\n" for row in table)
 
 
-# Above the golden file's sizes: randic's support is unmerged (B < 0), and
-# variable-sum-connectivity at a = 1e-10 merges it, leaving k empty.
+# Above the golden file's sizes, each row layout on each shape of law: k
+# rising (randic, B > 0; second-zagreb, whose values are whole numbers),
+# k falling (sombor, B < 0), k empty where variable-sum-connectivity at
+# a = 1e-10 merges the support, and one atom with k empty (first-zagreb).
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("name, a", [("randic", None), ("variable-sum-connectivity", 1e-10)],
-                         ids=["randic", "merged"])
-def test_long_distribution_writes_the_row_dict_text(capsys, name, a, fmt):
+@pytest.mark.parametrize("name, a, first_k", [
+    ("randic", None, 0), ("variable-sum-connectivity", 1e-10, None),
+    ("second-zagreb", None, 0), ("sombor", None, 19_998), ("first-zagreb", None, None),
+], ids=["randic", "merged", "second-zagreb", "sombor", "first-zagreb"])
+def test_long_distribution_writes_the_row_dict_text(capsys, name, a, first_k, fmt):
     a_flag = [] if a is None else ["--a", str(a)]
     dist = exact_distribution(registry_lookup(name, a), 20_000, LinkProbabilities.uniform())
-    assert (dist.ortho_counts is None) == (a is not None)
+    assert (None if dist.ortho_counts is None else dist.ortho_counts[0]) == first_k
+    assert (dist.support.size == 1) == (name == "first-zagreb")
     code, out, err = run(capsys, "distribution", "--index", name, *a_flag,
                          "--n", "20000", "--format", fmt)
-    assert (code, err) == (0, "") and out == row_dict_text(dist, fmt)
+    assert (code, err) == (0, "")
+    # Compared line by line, so that a failure names its first differing row
+    # at once: pytest takes minutes to explain two unequal long strings.
+    assert out.split("\n") == row_dict_text(dist, fmt).split("\n")
 
 
 @pytest.mark.parametrize("value", ["-1e-3", "-1E+2", "-.5e1", "-0.001"])
